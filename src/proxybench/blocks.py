@@ -55,10 +55,16 @@ a miss count past its access count.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
+
+import numpy as np
 
 from .errors import DocumentFormatError, InvalidParameterError, UnresolvedBlockError
-from .events import N0_DEFAULT, EventProfile, ProxyProgram
+from .events import EVENTS, N0_DEFAULT, EventProfile, ProxyProgram
 from .jsonutil import dumps_canonical, loads_document
 
 FAMILIES = ("memory_access", "function_access", "branch_predict", "arithmetic")
@@ -88,17 +94,22 @@ _LCG_SEED = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """One parameterized basic block, optionally calibrated."""
+    """One parameterized basic block, optionally calibrated; ``params`` is
+    read-only."""
 
     id: str
     family: str
-    params: dict
+    params: Mapping
     profile: EventProfile | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidParameterError(f"unknown block family {self.family!r}")
         _validate_params(self.family, self.params)
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def __reduce__(self):
+        return BlockSpec, (self.id, self.family, dict(self.params), self.profile)
 
     def with_profile(self, profile: EventProfile) -> "BlockSpec":
         return BlockSpec(self.id, self.family, dict(self.params), profile)
@@ -319,15 +330,22 @@ ARITH_MIXES = (
 
 @dataclass(frozen=True)
 class BlockLibrary:
-    """An ordered set of blocks sharing one calibration base ``n0``."""
+    """An ordered set of blocks sharing one calibration base ``n0``.
 
-    blocks: dict[str, BlockSpec] = field(default_factory=dict)
+    Immutable after construction: ``blocks`` is a read-only view of a private
+    copy, so the memoized content hash and the cached event matrix can never
+    go stale.
+    """
+
+    blocks: Mapping[str, BlockSpec] = field(default_factory=dict)
     n0: int = N0_DEFAULT
 
     def __post_init__(self):
         if int(self.n0) <= 0:
             raise DocumentFormatError("library n0 must be positive")
         object.__setattr__(self, "n0", int(self.n0))
+        object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
+        object.__setattr__(self, "_content_hash", None)
         for block_id, spec in self.blocks.items():
             if block_id != spec.id:
                 raise DocumentFormatError(f"library key {block_id!r} != block id {spec.id!r}")
@@ -335,6 +353,9 @@ class BlockLibrary:
                 raise DocumentFormatError(
                     f"block {block_id}: profile n0 {spec.profile.n0} != library n0 {self.n0}"
                 )
+
+    def __reduce__(self):
+        return BlockLibrary, (dict(self.blocks), self.n0)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -356,7 +377,31 @@ class BlockLibrary:
         )
 
     def content_hash(self) -> str:
-        return hashlib.sha256(dump_library(self).encode("utf-8")).hexdigest()[:12]
+        """First 12 hex digits of the sha256 of the library document,
+        computed on the first call."""
+        if self._content_hash is None:
+            digest = hashlib.sha256(dump_library(self).encode("utf-8")).hexdigest()[:12]
+            object.__setattr__(self, "_content_hash", digest)
+        return self._content_hash
+
+    @cached_property
+    def row_index(self) -> Mapping[str, int]:
+        """Block id -> row of :attr:`event_matrix`."""
+        return MappingProxyType({block_id: row for row, block_id in enumerate(self.blocks)})
+
+    @cached_property
+    def event_matrix(self) -> np.ndarray:
+        """Read-only ``(blocks x EVENTS)`` profile counts in library order,
+        NaN where a profile lacks an event and on every uncalibrated block."""
+        rows = [
+            [spec.profile.counts.get(event, math.nan) for event in EVENTS]
+            if spec.profile is not None
+            else [math.nan] * len(EVENTS)
+            for spec in self.blocks.values()
+        ]
+        matrix = np.array(rows, dtype=float).reshape(len(rows), len(EVENTS))
+        matrix.flags.writeable = False
+        return matrix
 
 
 def library_from_specs(specs, n0: int = N0_DEFAULT) -> BlockLibrary:

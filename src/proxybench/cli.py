@@ -81,7 +81,7 @@ def _cmd_align(args) -> int:
         targets,
         trace,
         metadata={
-            "library_hash": library.content_hash(),
+            "library_hash": trace.library_hash,
             "config": config_to_doc(config),
             "noise": args.noise,
             "seed": args.seed,
@@ -130,17 +130,16 @@ def _metrics_from_file(path: str) -> dict:
         raise ProxyBenchError(f"{path}: {exc}") from None
 
 
-def _load_pair_metrics(real_path: str, proxy_path: str) -> tuple[dict, dict]:
-    return _metrics_from_file(real_path), _metrics_from_file(proxy_path)
-
-
 def _cmd_evaluate(args) -> int:
     paths = args.counts
     if len(paths) % 2 != 0:
         raise ProxyBenchError("evaluate expects REAL PROXY file pairs")
-    pairs = [(paths[i], paths[i + 1]) for i in range(0, len(paths), 2)]
-    if len(pairs) == 1 and not args.series:
-        real, proxy = _load_pair_metrics(*pairs[0])
+    scored = [
+        (_metrics_from_file(paths[i]), _metrics_from_file(paths[i + 1]))
+        for i in range(0, len(paths), 2)
+    ]
+    if len(scored) == 1 and not args.series:
+        real, proxy = scored[0]
         per_metric = {m: accuracy(real[m], proxy[m]) for m in real}
         print("metric\treal\tproxy\taccuracy")
         for definition in METRICS:
@@ -151,7 +150,6 @@ def _cmd_evaluate(args) -> int:
         for category in sorted(floors):
             print(f"{category}\t{floors[category]!r}")
         return 0
-    scored = [_load_pair_metrics(real, proxy) for real, proxy in pairs]
     print("metric\trho\tmean_rel_error")
     for definition in METRICS:
         series = ComparisonSeries(

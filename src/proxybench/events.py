@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     DocumentFormatError,
@@ -52,6 +55,9 @@ EVENTS = (
 )
 
 _EVENT_SET = frozenset(EVENTS)
+
+# column of each event in a library's event matrix
+EVENT_INDEX = {event: i for i, event in enumerate(EVENTS)}
 
 # miss events may never exceed their access events (branch misses pair with
 # retired branch instructions the same way)
@@ -134,7 +140,12 @@ def _validate_counts(counts: Mapping[str, float], *, what: str) -> dict[str, flo
     clean: dict[str, float] = {}
     for name, value in counts.items():
         require_event(name)
-        value = float(value)
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise DocumentFormatError(
+                f"{what}: count for {name} must be a finite number, got {value!r}"
+            ) from None
         if not math.isfinite(value) or value < 0:
             raise DocumentFormatError(f"{what}: count for {name} must be finite and >= 0")
         clean[name] = value
@@ -149,7 +160,11 @@ def _validate_counts(counts: Mapping[str, float], *, what: str) -> dict[str, flo
 
 @dataclass(frozen=True)
 class EventProfile:
-    """Per-block event occurrences, normalized to ``n0`` block executions."""
+    """Per-block event occurrences, normalized to ``n0`` block executions.
+
+    ``counts`` is read-only: a library's event matrix and content hash are
+    computed from it once.
+    """
 
     counts: Mapping[str, float]
     n0: int = N0_DEFAULT
@@ -161,7 +176,10 @@ class EventProfile:
         clean = _validate_counts(self.counts, what="profile")
         if clean.get("instructions", 0.0) <= 0:
             raise DocumentFormatError("profile must have instructions > 0")
-        object.__setattr__(self, "counts", clean)
+        object.__setattr__(self, "counts", MappingProxyType(clean))
+
+    def __reduce__(self):
+        return EventProfile, (dict(self.counts), self.n0)
 
 
 @dataclass(frozen=True)
@@ -178,9 +196,6 @@ class MeasurementResult:
             )
         object.__setattr__(self, "counts", _validate_counts(self.counts, what="measurement"))
 
-    def __getitem__(self, event: str) -> float:
-        return self.counts[require_event(event)]
-
 
 @dataclass(frozen=True)
 class TargetMetrics:
@@ -194,7 +209,12 @@ class TargetMetrics:
             definition = METRICS_BY_ID.get(metric_id)
             if definition is None:
                 raise DocumentFormatError(f"no metric definition for {metric_id!r}")
-            value = float(value)
+            try:
+                value = float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise DocumentFormatError(
+                    f"target {metric_id} must be a finite number, got {value!r}"
+                ) from None
             if not math.isfinite(value) or value <= 0:
                 raise DocumentFormatError(f"target {metric_id} must be finite and > 0")
             if definition.category in _BOUNDED_CATEGORIES and value > 1:
@@ -266,28 +286,30 @@ def predict_events(program: ProxyProgram, library) -> MeasurementResult:
 
     Duplicate entries are merged first.  The per-event sum is accumulated with
     ``math.fsum`` and divided by ``n0`` once, so programs whose contributions
-    are exactly representable predict exactly.
+    are exactly representable predict exactly.  An event is predicted when any
+    block of the program profiles it; blocks lacking it contribute zero.
     """
     merged = program.merged()
-    profiles = []
-    for block_id, executions in merged.entries:
-        spec = library.blocks.get(block_id)
-        if spec is None:
+    rows = []
+    for block_id, _ in merged.entries:
+        row = library.row_index.get(block_id)
+        if row is None:
             raise UnresolvedBlockError(f"program references unknown block {block_id!r}")
-        if spec.profile is None:
+        if library.blocks[block_id].profile is None:
             raise IncompleteProfileError(f"block {block_id} has no calibrated profile")
-        profiles.append((spec.profile, executions))
+        rows.append(row)
 
+    counts = library.event_matrix[rows]
+    absent = np.isnan(counts)
+    executions = np.array([n for _, n in merged.entries], dtype=float)
+    products = np.where(absent, 0.0, counts) * executions[:, None]
     n0 = float(library.n0)
-    seen: set[str] = set()
-    for profile, _ in profiles:
-        seen.update(profile.counts)
-    counts = {
-        event: math.fsum(profile.counts.get(event, 0.0) * executions for profile, executions in profiles) / n0
-        for event in EVENTS
-        if event in seen
+    predicted = {
+        event: math.fsum(column) / n0
+        for event, column, unseen in zip(EVENTS, products.T.tolist(), absent.all(axis=0))
+        if not unseen
     }
-    return MeasurementResult(counts, provenance="simulated")
+    return MeasurementResult(predicted, provenance="simulated")
 
 
 def compute_metric(counts: MeasurementResult, definition: MetricDefinition) -> float:

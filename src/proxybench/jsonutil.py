@@ -10,6 +10,8 @@ import json
 import os
 import tempfile
 
+from .errors import DocumentFormatError
+
 
 def dumps_canonical(doc) -> str:
     """Serialize ``doc`` with sorted keys and a trailing newline."""
@@ -17,7 +19,10 @@ def dumps_canonical(doc) -> str:
 
 
 def loads_document(text: str):
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentFormatError(f"malformed JSON: {exc}") from None
 
 
 def write_text_atomic(path: str, text: str) -> None:

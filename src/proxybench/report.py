@@ -21,7 +21,7 @@ from .errors import (
     UndefinedAccuracyError,
     UndefinedCorrelationError,
 )
-from .events import METRICS, MetricDefinition, TargetMetrics
+from .events import MetricDefinition, TargetMetrics
 from .jsonutil import dumps_canonical, loads_document
 
 
@@ -170,7 +170,3 @@ def dump_report(report: AccuracyReport) -> str:
 
 def load_report(text: str) -> AccuracyReport:
     return report_from_doc(loads_document(text))
-
-
-def builtin_definitions() -> tuple[MetricDefinition, ...]:
-    return METRICS

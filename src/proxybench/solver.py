@@ -30,7 +30,7 @@ from .errors import (
     IncompleteProfileError,
     InvalidSystemError,
 )
-from .events import MeasurementResult, TargetMetrics
+from .events import EVENT_INDEX, MeasurementResult, TargetMetrics
 
 BUDGET_ROW = "budget"
 
@@ -61,30 +61,30 @@ class NnlsSolution:
     certified: bool = True
 
 
-def _profile_count(spec, event: str, metric_id: str) -> float:
-    count = spec.profile.counts.get(event) if spec.profile is not None else None
-    if count is None:
-        raise IncompleteProfileError(
-            f"block {spec.id} lacks event {event} needed by metric {metric_id}"
-        )
-    return count
-
-
 def _metric_rows(library, targets: TargetMetrics):
+    """Metric rows plus the budget row over every block of ``library``, and
+    each metric's per-block denominator counts."""
     definitions = targets.definitions()
-    cols = library.ids()
-    matrix = np.zeros((len(definitions) + 1, len(cols)))
-    for i, definition in enumerate(definitions):
-        value = targets.targets[definition.id]
-        for j, block_id in enumerate(cols):
-            spec = library.blocks[block_id]
-            num = _profile_count(spec, definition.numerator, definition.id)
-            den = _profile_count(spec, definition.denominator, definition.id)
-            matrix[i, j] = num - value * den
-    for j, block_id in enumerate(cols):
-        matrix[-1, j] = _profile_count(library.blocks[block_id], "instructions", BUDGET_ROW)
     labels = tuple(d.id for d in definitions) + (BUDGET_ROW,)
-    return matrix, labels, cols, definitions
+    # the budget row is instructions over instructions at target 0, so its
+    # coefficients come out as the instruction counts themselves
+    pairs = [(d.numerator, d.denominator) for d in definitions]
+    pairs.append(("instructions", "instructions"))
+    columns = [[EVENT_INDEX[event] for event in pair] for pair in pairs]
+    # (rows, blocks, numerator/denominator)
+    counts = library.event_matrix[:, columns].transpose(1, 0, 2)
+    cols = library.ids()
+    # row-major: the first hit is the first (metric, block) pair lacking an
+    # event, numerator before denominator
+    missing = np.argwhere(np.isnan(counts))
+    if len(missing):
+        i, j, k = missing[0]
+        raise IncompleteProfileError(
+            f"block {cols[j]} lacks event {pairs[i][k]} needed by metric {labels[i]}"
+        )
+    values = np.array([targets.targets[d.id] for d in definitions] + [0.0])
+    matrix = counts[:, :, 0] - values[:, None] * counts[:, :, 1]
+    return matrix, labels, cols, definitions, counts[:-1, :, 1]
 
 
 def _row_weights(targets, definitions, denominators, budget: float) -> np.ndarray:
@@ -108,17 +108,15 @@ def assemble_initial_system(library, targets: TargetMetrics, ins1: float) -> Lin
     """
     if ins1 <= 0:
         raise InvalidSystemError(f"ins1 must be > 0, got {ins1}")
-    matrix, labels, cols, definitions = _metric_rows(library, targets)
+    matrix, labels, cols, definitions, denominator_counts = _metric_rows(library, targets)
     rhs = np.zeros(len(labels))
     rhs[-1] = float(ins1)
-    denominators = []
-    for definition in definitions:
-        per_instruction = [
-            _profile_count(spec, definition.denominator, definition.id)
-            / spec.profile.counts["instructions"]
-            for spec in library.blocks.values()
-        ]
-        denominators.append(ins1 * sum(per_instruction) / len(per_instruction))
+    # Python's left-to-right sum, not numpy's pairwise one, fixes the weights'
+    # last bits
+    denominators = [
+        ins1 * sum(per_instruction) / len(per_instruction)
+        for per_instruction in (denominator_counts / matrix[-1]).tolist()
+    ]
     weights = _row_weights(targets, definitions, denominators, float(ins1))
     return LinearSystem(matrix, rhs, labels, tuple(cols), weights)
 
@@ -138,7 +136,7 @@ def assemble_incremental_system(
     """
     if delta_ins < 0:
         raise InvalidSystemError(f"delta_ins must be >= 0, got {delta_ins}")
-    matrix, labels, cols, definitions = _metric_rows(library, targets)
+    matrix, labels, cols, definitions, _ = _metric_rows(library, targets)
     rhs = np.zeros(len(labels))
     denominators = []
     for i, definition in enumerate(definitions):
@@ -158,14 +156,15 @@ def assemble_incremental_system(
 
 def unreachable_rows(system: LinearSystem) -> tuple[str, ...]:
     """Metric rows whose right-hand side cannot be approached with x >= 0."""
-    flagged = []
-    for i, label in enumerate(system.row_labels):
-        if label == BUDGET_ROW:
-            continue
-        row, target = system.matrix[i], system.rhs[i]
-        if (target > 0 and np.all(row <= 0)) or (target < 0 and np.all(row >= 0)):
-            flagged.append(label)
-    return tuple(flagged)
+    matrix, rhs = system.matrix, system.rhs
+    flagged = ((rhs > 0) & np.all(matrix <= 0, axis=1)) | (
+        (rhs < 0) & np.all(matrix >= 0, axis=1)
+    )
+    return tuple(
+        label
+        for label, flag in zip(system.row_labels, flagged.tolist())
+        if flag and label != BUDGET_ROW
+    )
 
 
 def nnls(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None) -> NnlsSolution:

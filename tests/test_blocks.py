@@ -1,7 +1,12 @@
+import copy
+import hashlib
+import math
+import pickle
 import re
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from proxybench import (
@@ -16,6 +21,7 @@ from proxybench import (
     synthetic_profile,
 )
 from proxybench.blocks import (
+    BlockLibrary,
     calibrate_synthetic,
     dump_library,
     library_from_specs,
@@ -26,7 +32,7 @@ from proxybench.errors import (
     InvalidParameterError,
     UnresolvedBlockError,
 )
-from proxybench.events import MISS_ACCESS_PAIRS
+from proxybench.events import EVENTS, MISS_ACCESS_PAIRS, EventProfile
 
 LOOP_HEADER = "for (uint64_t it = 0u;"
 
@@ -284,3 +290,55 @@ class TestLibraryDocuments:
         sub = library.subset(keep)
         assert sub.ids() == keep
         assert sub.n0 == library.n0
+
+
+class TestLibraryCaches:
+    def test_library_is_read_only(self, library):
+        spec = library.blocks["mix_add16"]
+        with pytest.raises(TypeError):
+            library.blocks["mix_add16"] = spec
+        with pytest.raises(TypeError):
+            spec.params["fp"] = True
+        with pytest.raises(TypeError):
+            spec.profile.counts["cycles"] = 0.0
+
+    def test_construction_copies_the_blocks(self):
+        blocks = {"b": calibrate_synthetic(make_branch_block(0, "b"))}
+        library = BlockLibrary(blocks)
+        blocks["c"] = calibrate_synthetic(make_branch_block(8, "c"))
+        assert library.ids() == ("b",)
+
+    def test_content_hash_is_the_document_digest(self):
+        library = default_library()
+        expected = hashlib.sha256(dump_library(library).encode("utf-8")).hexdigest()[:12]
+        assert library.content_hash() == expected
+        assert library.content_hash() == expected
+
+    def test_event_matrix_holds_the_profile_counts(self):
+        plain = make_arith_block((("add", 1),), block_id="plain")
+        partial = make_arith_block((("add", 1),), block_id="partial").with_profile(
+            EventProfile({"instructions": 7.0, "cycles": 9.0})
+        )
+        full = calibrate_synthetic(make_branch_block(512, "full"))
+        library = library_from_specs([plain, partial, full])
+        expected = [[math.nan] * len(EVENTS)] + [
+            [spec.profile.counts.get(event, math.nan) for event in EVENTS]
+            for spec in (partial, full)
+        ]
+        assert np.array_equal(library.event_matrix, expected, equal_nan=True)
+        assert dict(library.row_index) == {"plain": 0, "partial": 1, "full": 2}
+        assert not library.event_matrix.flags.writeable
+        with pytest.raises(ValueError):
+            library.event_matrix[1, 0] = 1.0
+
+    def test_subset_builds_its_own_matrix_in_subset_order(self, library):
+        keep = ("br_t0", "mem_stride64", "mix_div8")
+        sub = library.subset(reversed(keep))
+        assert sub.ids() == ("mem_stride64", "br_t0", "mix_div8")
+        rows = [library.row_index[block_id] for block_id in sub.ids()]
+        assert np.array_equal(sub.event_matrix, library.event_matrix[rows])
+
+    def test_copies_keep_blocks_and_hash(self, library):
+        for clone in (copy.deepcopy(library), pickle.loads(pickle.dumps(library))):
+            assert clone == library
+            assert clone.content_hash() == library.content_hash()

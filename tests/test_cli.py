@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,49 @@ class TestAlignCommand:
         assert main(["align", str(targets_file), "--out", str(second)] + flags) == 0
         for name in ("program.json", "proxy.c", "trace.json", "report.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_artifacts_match_pinned_digests(self, library_path, tmp_path):
+        # a fixed align must write the same bytes from one commit to the next;
+        # the solver's least squares goes through LAPACK, so a different
+        # numpy build may move these digests
+        targets = {
+            "cpi": 3.801, "branch_miss_rate": 0.1285, "l1d_miss_rate": 0.02448,
+            "l1i_miss_rate": 0.0001, "l2_miss_rate": 0.1769, "l3_miss_rate": 0.1681,
+            "dtlb_miss_rate": 0.000391, "itlb_miss_rate": 1e-05, "load_ratio": 0.09147,
+            "store_ratio": 0.09147, "branch_ratio": 0.1076, "fp_ratio": 0.1714,
+            "int_ratio": 0.4995, "vec_ratio": 0.08571,
+        }
+        targets_file = tmp_path / "targets.json"
+        targets_file.write_text(json.dumps({"metrics": targets}))
+        out_dir = tmp_path / "golden"
+        assert main([
+            "align", str(targets_file),
+            "--library", str(library_path),
+            "--out", str(out_dir),
+            "--ins1", "5e6", "--seed", "20231115",
+        ]) == 0
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("program.json", "proxy.c", "trace.json", "report.json")
+        }
+        assert digests == {
+            "program.json": "28d6a140754c9db4cb71e32f05380cb83f56c363455eb2a08e8c179b8292cf7c",
+            "proxy.c": "1014b333251021088b4189199651f1cce041b42d1776b33f334fdb13e6e98f9c",
+            "trace.json": "70caa12a023d6a8cfb3614b4e15e4e5d9ed2df8a3367f192e10a24b35f7ae813",
+            "report.json": "5e7da28c19cfdf624bcbf3f7759566d4e4937cdec4b59cfa7f56821bc19f5e4a",
+        }
+
+    @pytest.mark.parametrize("text", ["{", '{"metrics": {"cpi": "x"}}'])
+    def test_malformed_targets_give_an_error_line(self, library_path, tmp_path, capsys, text):
+        targets_file = tmp_path / "targets.json"
+        targets_file.write_text(text)
+        assert main([
+            "align", str(targets_file),
+            "--library", str(library_path),
+            "--out", str(tmp_path / "x"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestRenderCommand:

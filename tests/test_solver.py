@@ -20,6 +20,7 @@ from proxybench.errors import (
 )
 from proxybench.events import MeasurementResult
 from proxybench.solver import (
+    BUDGET_ROW,
     LinearSystem,
     NnlsSolution,
     assemble_incremental_system,
@@ -146,6 +147,41 @@ class TestAssembleInitial:
         with pytest.raises(IncompleteProfileError, match="p1.*cycles"):
             assemble_initial_system(library, TargetMetrics({"cpi": 1.0}), 100.0)
 
+    def test_missing_event_reported_first_in_metric_then_block_order(self):
+        library = library_of({
+            "p1": {"instructions": 10.0, "cycles": 20.0},
+            "p2": {"instructions": 10.0, "branch_insts": 2.0},
+        })
+        uncalibrated = BlockLibrary(
+            {"raw": make_arith_block((("add", 1),), block_id="raw")}, N0
+        )
+        targets = TargetMetrics({"cpi": 1.0, "branch_miss_rate": 0.1})
+        with pytest.raises(IncompleteProfileError) as err:
+            assemble_initial_system(library, targets, 100.0)
+        assert str(err.value) == "block p2 lacks event cycles needed by metric cpi"
+        with pytest.raises(IncompleteProfileError) as err:
+            assemble_initial_system(library.subset(["p1"]), targets, 100.0)
+        assert str(err.value) == "block p1 lacks event branch_misses needed by metric branch_miss_rate"
+        with pytest.raises(IncompleteProfileError) as err:
+            assemble_initial_system(uncalibrated, TargetMetrics({}), 100.0)
+        assert str(err.value) == "block raw lacks event instructions needed by metric budget"
+
+    def test_row_weights_match_a_left_to_right_reference(self, library, rng):
+        # denominator estimate: ins1 times the mean per-instruction
+        # denominator rate, summed left to right in library order
+        from tests.conftest import hidden_targets
+
+        _, targets, _ = hidden_targets(library, rng)
+        ins1 = 5e6
+        system = assemble_initial_system(library, targets, ins1)
+        for i, definition in enumerate(targets.definitions()):
+            rates = [
+                spec.profile.counts[definition.denominator] / spec.profile.counts["instructions"]
+                for spec in library.blocks.values()
+            ]
+            estimate = ins1 * sum(rates) / len(rates)
+            assert system.row_weights[i] == 1.0 / (targets.targets[definition.id] * estimate)
+
     def test_nonpositive_budget_rejected(self):
         library = library_of({"p1": {"instructions": 10.0}})
         with pytest.raises(InvalidSystemError):
@@ -205,6 +241,17 @@ class TestAssembleIncremental:
         system = assemble_incremental_system(library, targets, measured, 10.0)
         assert system.rhs[0] < 0  # blocks only add CPI >= 1.5: flagged
         assert unreachable_rows(system) == ("cpi",)
+
+
+    def test_positive_gap_with_nonpositive_row_flagged(self):
+        system = LinearSystem(
+            np.array([[-1.0, 0.0], [-1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]),
+            np.array([3.0, 3.0, 0.0, -1.0]),
+            ("r0", "r1", "r2", BUDGET_ROW),
+            ("c0", "c1"),
+            np.ones(4),
+        )
+        assert unreachable_rows(system) == ("r0",)
 
 
 class TestNnls:
