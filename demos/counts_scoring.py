@@ -48,10 +48,14 @@ print("category floors:", {c: round(v, 4) for c, v in sorted(floors.items())})
 
 # ----------------------------------------------------------------------
 # Fifteen pairs give one correlation and one mean-error figure per metric.
+# Each program holds one fp block, so fp_ratio and vec_ratio are never zero
+# (relative error against a zero value is undefined).
 
+plain_ids = [i for i in library.ids() if not i.startswith("fpmix")]
+fp_ids = [i for i in library.ids() if i.startswith("fpmix")]
 pairs = []
 for i in range(15):
-    blocks = rng.choice(library.ids(), size=6, replace=False)
+    blocks = [*rng.choice(plain_ids, size=5, replace=False), rng.choice(fp_ids)]
     program = pb.ProxyProgram(tuple((str(b), int(rng.integers(10_000, 100_000)))
                                     for b in blocks))
     x = pb.compute_all_metrics(pb.predict_events(program, library), pb.METRICS)

@@ -9,7 +9,6 @@ execution-count increases, and grows the program.  Counts never decrease.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import AlignmentError, DocumentFormatError, ProxyBenchError
@@ -19,6 +18,7 @@ from .events import (
     ProxyProgram,
     TargetMetrics,
     compute_all_metrics,
+    predict_events,
     program_from_doc,
     program_to_doc,
 )
@@ -74,13 +74,9 @@ class AlignmentTrace:
 
 
 def instruction_total(program: ProxyProgram, library) -> float:
-    """Predicted retired instructions of ``program`` over ``library``."""
-    merged = program.merged()
-    n0 = float(library.n0)
-    return math.fsum(
-        library.require(block_id).profile.counts["instructions"] * executions
-        for block_id, executions in merged.entries
-    ) / n0
+    """Predicted retired instructions of ``program`` over ``library``; 0.0
+    for a program with no entries."""
+    return predict_events(program, library).counts.get("instructions", 0.0)
 
 
 def _score(

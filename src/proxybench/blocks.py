@@ -64,7 +64,15 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DocumentFormatError, InvalidParameterError, UnresolvedBlockError
-from .events import EVENTS, N0_DEFAULT, EventProfile, ProxyProgram
+from .events import (
+    EVENTS,
+    N0_DEFAULT,
+    EventProfile,
+    ProxyProgram,
+    _positive_int,
+    _require_keys,
+    profile_from_doc,
+)
 from .jsonutil import dumps_canonical, loads_document
 
 FAMILIES = ("memory_access", "function_access", "branch_predict", "arithmetic")
@@ -181,9 +189,13 @@ def make_branch_block(threshold: int, block_id: str | None = None) -> BlockSpec:
     return BlockSpec(block_id, "branch_predict", {"threshold": int(threshold)})
 
 
+def _mix(mix) -> tuple[tuple[str, int], ...]:
+    return tuple((str(op), int(reps)) for op, reps in mix)
+
+
 def make_arith_block(mix, fp: bool = False, block_id: str | None = None) -> BlockSpec:
     """Dependence-chained arithmetic with the given (op, repetitions) mix."""
-    mix = tuple((str(op), int(reps)) for op, reps in mix)
+    mix = _mix(mix)
     if block_id is None:
         tag = "_".join(f"{op}{reps}" for op, reps in mix)
         block_id = f"{'fpmix' if fp else 'mix'}_{tag}"
@@ -341,9 +353,7 @@ class BlockLibrary:
     n0: int = N0_DEFAULT
 
     def __post_init__(self):
-        if int(self.n0) <= 0:
-            raise DocumentFormatError("library n0 must be positive")
-        object.__setattr__(self, "n0", int(self.n0))
+        object.__setattr__(self, "n0", _positive_int(self.n0, "library n0 must be positive"))
         object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
         object.__setattr__(self, "_content_hash", None)
         for block_id, spec in self.blocks.items():
@@ -628,32 +638,35 @@ def block_to_doc(spec: BlockSpec) -> dict:
     return doc
 
 
-def block_from_doc(doc: dict) -> BlockSpec:
-    from .events import profile_from_doc, _require_keys  # late import, avoids cycle
+# how a document's params become BlockSpec params, per family; the same
+# coercions as the make_*_block constructors
+_PARAMS_FROM_DOC = {
+    "memory_access": {"stride": int, "buffer": int},
+    "function_access": {"stride": int, "count": int},
+    "branch_predict": {"threshold": int},
+    "arithmetic": {"mix": _mix, "fp": bool},
+}
 
+
+def block_from_doc(doc: dict) -> BlockSpec:
     _require_keys(doc, {"id", "family", "params", "profile"}, {"id", "family", "params"}, "block")
-    family = doc["family"]
-    params = doc["params"]
+    block_id = doc["id"]
     try:
-        if family == "memory_access":
-            _require_keys(params, {"stride", "buffer"}, {"stride", "buffer"}, "params")
-            spec = make_memory_block(params["stride"], params["buffer"], doc["id"])
-        elif family == "function_access":
-            _require_keys(params, {"stride", "count"}, {"stride", "count"}, "params")
-            spec = make_function_block(params["stride"], params["count"], doc["id"])
-        elif family == "branch_predict":
-            _require_keys(params, {"threshold"}, {"threshold"}, "params")
-            spec = make_branch_block(params["threshold"], doc["id"])
-        elif family == "arithmetic":
-            _require_keys(params, {"mix", "fp"}, {"mix", "fp"}, "params")
-            spec = make_arith_block(params["mix"], params["fp"], doc["id"])
-        else:
+        if not isinstance(block_id, str) or not block_id:
+            raise DocumentFormatError(f"id must be a nonempty string, got {block_id!r}")
+        family = doc["family"]
+        if not isinstance(family, str) or family not in _PARAMS_FROM_DOC:
             raise DocumentFormatError(f"unknown block family {family!r}")
-        if "profile" in doc:
-            spec = spec.with_profile(profile_from_doc(doc["profile"]))
+        coercions = _PARAMS_FROM_DOC[family]
+        _require_keys(doc["params"], set(coercions), set(coercions), "params")
+        try:
+            params = {key: coerce(doc["params"][key]) for key, coerce in coercions.items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DocumentFormatError(f"malformed {family} params: {exc}") from None
+        profile = profile_from_doc(doc["profile"]) if "profile" in doc else None
+        return BlockSpec(block_id, family, params, profile)
     except (DocumentFormatError, InvalidParameterError) as exc:
-        raise type(exc)(f"block {doc.get('id', '?')}: {exc}") from None
-    return spec
+        raise type(exc)(f"block {block_id}: {exc}") from None
 
 
 def library_to_doc(library: BlockLibrary) -> dict:
@@ -664,8 +677,6 @@ def library_to_doc(library: BlockLibrary) -> dict:
 
 
 def library_from_doc(doc: dict) -> BlockLibrary:
-    from .events import _require_keys
-
     _require_keys(doc, {"n0", "blocks"}, {"n0", "blocks"}, "library")
     if not isinstance(doc["blocks"], list):
         raise DocumentFormatError("library: 'blocks' must be a list")

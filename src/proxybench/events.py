@@ -158,6 +158,18 @@ def _validate_counts(counts: Mapping[str, float], *, what: str) -> dict[str, flo
     return {name: clean[name] for name in EVENTS if name in clean}
 
 
+def _positive_int(value, message: str) -> int:
+    """``int(value)`` when that is a positive integer, else
+    ``DocumentFormatError(message)``."""
+    try:
+        value = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DocumentFormatError(message) from None
+    if value <= 0:
+        raise DocumentFormatError(message)
+    return value
+
+
 @dataclass(frozen=True)
 class EventProfile:
     """Per-block event occurrences, normalized to ``n0`` block executions.
@@ -170,9 +182,9 @@ class EventProfile:
     n0: int = N0_DEFAULT
 
     def __post_init__(self):
-        if int(self.n0) <= 0:
-            raise DocumentFormatError("profile n0 must be a positive integer")
-        object.__setattr__(self, "n0", int(self.n0))
+        object.__setattr__(
+            self, "n0", _positive_int(self.n0, "profile n0 must be a positive integer")
+        )
         clean = _validate_counts(self.counts, what="profile")
         if clean.get("instructions", 0.0) <= 0:
             raise DocumentFormatError("profile must have instructions > 0")

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from proxybench import (
     AlignConfig,
+    BlockLibrary,
+    BlockSpec,
     EVENTS,
     MeasurementResult,
     NoiseModel,
@@ -13,7 +17,12 @@ from proxybench import (
     instruction_total,
 )
 from proxybench.align import dump_trace, load_trace
-from proxybench.errors import AlignmentError, DocumentFormatError
+from proxybench.errors import (
+    AlignmentError,
+    DocumentFormatError,
+    IncompleteProfileError,
+    UnresolvedBlockError,
+)
 from proxybench.report import accuracy
 from proxybench.solver import (
     assemble_incremental_system,
@@ -189,6 +198,35 @@ class TestInstructionTotal:
         per_n0 = library.blocks[block_id].profile.counts["instructions"]
         total = instruction_total(ProxyProgram(((block_id, library.n0),)), library)
         assert total == per_n0
+
+    def test_equals_the_profile_walk(self, library):
+        # the count model must give bit for bit what summing each block's
+        # instructions profile over the merged program gives
+        def reference(program):
+            merged = program.merged()
+            return math.fsum(
+                library.blocks[block_id].profile.counts["instructions"] * executions
+                for block_id, executions in merged.entries
+            ) / float(library.n0)
+
+        rng = np.random.default_rng(20240611)
+        ids = library.ids()
+        for _ in range(2000):
+            size = int(rng.integers(1, 12))
+            chosen = rng.choice(ids, size=size)  # with replacement: duplicates merge
+            top = 2 ** int(rng.integers(1, 62))
+            program = ProxyProgram(
+                tuple((str(b), int(rng.integers(0, top))) for b in chosen)
+            )
+            assert instruction_total(program, library) == reference(program)
+
+    def test_unknown_and_uncalibrated_blocks_raise(self, library):
+        with pytest.raises(UnresolvedBlockError):
+            instruction_total(ProxyProgram((("nope", 1),)), library)
+        spec = library.blocks[library.ids()[0]]
+        bare = BlockLibrary({spec.id: BlockSpec(spec.id, spec.family, spec.params)})
+        with pytest.raises(IncompleteProfileError):
+            instruction_total(ProxyProgram(((spec.id, 1),)), bare)
 
     def test_round_one_total_matches_budget(self, library, rng):
         _, targets, _ = hidden_targets(library, rng)

@@ -162,6 +162,68 @@ class TestAlignCommand:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _first_block(doc, family):
+    return next(b for b in doc["blocks"] if b["family"] == family)
+
+
+def _set_param(family, key, value):
+    def mutate(doc):
+        block = _first_block(doc, family)
+        block["params"][key] = value
+        return block["id"]
+    return mutate
+
+
+def _set_profile_n0(doc):
+    block = _first_block(doc, "branch_predict")
+    block["profile"]["n0"] = "x"
+    return block["id"]
+
+
+def _set_block_id(value):
+    def mutate(doc):
+        _first_block(doc, "memory_access")["id"] = value
+        return value
+    return mutate
+
+
+def _set_library_n0(doc):
+    doc["n0"] = "x"
+
+
+MALFORMED_LIBRARIES = {
+    "string stride": _set_param("memory_access", "stride", "x"),
+    "null stride": _set_param("function_access", "stride", None),
+    "string mix": _set_param("arithmetic", "mix", "ab"),
+    "string profile n0": _set_profile_n0,
+    "integer block id": _set_block_id(3),
+    "empty block id": _set_block_id(""),
+    "string library n0": _set_library_n0,
+}
+
+
+class TestMalformedLibrary:
+    @pytest.mark.parametrize("command", ["validate", "align"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LIBRARIES))
+    def test_error_line_and_exit_one(
+        self, library_path, targets_path, tmp_path, capsys, case, command
+    ):
+        doc = json.loads(library_path.read_text())
+        block_id = MALFORMED_LIBRARIES[case](doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        if command == "validate":
+            argv = ["library", "validate", str(bad)]
+        else:
+            argv = ["align", str(targets_path[0]), "--library", str(bad),
+                    "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if block_id is not None:
+            assert err.startswith(f"error: block {block_id}: ")
+
+
 class TestRenderCommand:
     def test_render_program_manifest(self, library_path, tmp_path, library):
         program = sample_hidden_program(library, np.random.default_rng(1))
