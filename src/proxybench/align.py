@@ -26,6 +26,7 @@ from .jsonutil import dumps_canonical, loads_document
 from .measure import Measurer
 from .report import accuracy
 from .solver import (
+    NnlsSolution,
     assemble_incremental_system,
     assemble_initial_system,
     counts_from_solution,
@@ -79,6 +80,16 @@ def instruction_total(program: ProxyProgram, library) -> float:
     return predict_events(program, library).counts.get("instructions", 0.0)
 
 
+def _certified(solution: NnlsSolution, round_index: int) -> NnlsSolution:
+    if not solution.certified:
+        raise AlignmentError(
+            f"NNLS solve not certified after {solution.iterations} iterations "
+            f"(residual {solution.residual_norm!r})",
+            round_index,
+        )
+    return solution
+
+
 def _score(
     measured: MeasurementResult,
     targets: TargetMetrics,
@@ -109,11 +120,15 @@ def align(
     round_index = 1
     try:
         system = assemble_initial_system(library, targets, config.ins1)
-        solution = nnls(system, config.tol, config.max_iter)
+        solution = _certified(nnls(system, config.tol, config.max_iter), round_index)
         eps = config.prune_eps * float(max(solution.x, default=0.0))
         working = select_blocks(solution, library, eps)
         by_block = dict(zip(library.ids(), counts_from_solution(solution, library.n0)))
         program = ProxyProgram(tuple((b, by_block[b]) for b in working.ids()))
+        # rounds 2..N start from the whole working set, which round 1 picked
+        # from its passive set; round 1 starts cold, as least squares over
+        # more columns than rows is underdetermined
+        start = [True] * len(working)
         measured = measurer.measure(program, nonce=1)
         metrics, accuracies = _score(measured, targets, definitions)
         records.append(
@@ -128,7 +143,9 @@ def align(
             delta_ins = measured.counts["instructions"] * config.growth
             system = assemble_incremental_system(working, targets, measured, delta_ins)
             flagged = unreachable_rows(system)
-            solution = nnls(system, config.tol, config.max_iter)
+            solution = _certified(
+                nnls(system, config.tol, config.max_iter, start=start), round_index
+            )
             increments = counts_from_solution(solution, library.n0)
             program = ProxyProgram(
                 tuple(

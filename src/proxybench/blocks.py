@@ -638,13 +638,30 @@ def block_to_doc(spec: BlockSpec) -> dict:
     return doc
 
 
-# how a document's params become BlockSpec params, per family; the same
-# coercions as the make_*_block constructors
+def _doc_int(value) -> int:
+    if type(value) is not int:  # bool is an int subclass, 8.0 a float
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _doc_bool(value) -> bool:
+    if type(value) is not bool:
+        raise TypeError(f"expected a boolean, got {value!r}")
+    return value
+
+
+def _doc_mix(value) -> tuple[tuple[str, int], ...]:
+    return tuple((str(op), _doc_int(reps)) for op, reps in value)
+
+
+# how a document's params become BlockSpec params, per family; unlike the
+# make_*_block constructors nothing is coerced, so a loaded library writes
+# back the document it was read from
 _PARAMS_FROM_DOC = {
-    "memory_access": {"stride": int, "buffer": int},
-    "function_access": {"stride": int, "count": int},
-    "branch_predict": {"threshold": int},
-    "arithmetic": {"mix": _mix, "fp": bool},
+    "memory_access": {"stride": _doc_int, "buffer": _doc_int},
+    "function_access": {"stride": _doc_int, "count": _doc_int},
+    "branch_predict": {"threshold": _doc_int},
+    "arithmetic": {"mix": _doc_mix, "fp": _doc_bool},
 }
 
 
@@ -659,10 +676,12 @@ def block_from_doc(doc: dict) -> BlockSpec:
             raise DocumentFormatError(f"unknown block family {family!r}")
         coercions = _PARAMS_FROM_DOC[family]
         _require_keys(doc["params"], set(coercions), set(coercions), "params")
-        try:
-            params = {key: coerce(doc["params"][key]) for key, coerce in coercions.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DocumentFormatError(f"malformed {family} params: {exc}") from None
+        params = {}
+        for key, coerce in coercions.items():
+            try:
+                params[key] = coerce(doc["params"][key])
+            except (TypeError, ValueError) as exc:
+                raise DocumentFormatError(f"malformed {family} params: {key}: {exc}") from None
         profile = profile_from_doc(doc["profile"]) if "profile" in doc else None
         return BlockSpec(block_id, family, params, profile)
     except (DocumentFormatError, InvalidParameterError) as exc:

@@ -133,15 +133,17 @@ def simulate(
         return predicted
 
     rng = np.random.default_rng([noise.seed & 0xFFFFFFFFFFFFFFFF, nonce & 0xFFFFFFFFFFFFFFFF])
-    counts = {}
-    for event in EVENTS:  # canonical order keeps draws reproducible
-        if event not in predicted.counts:
-            continue
-        if noise.kind == "multiplicative_uniform":
-            delta = rng.uniform(-noise.epsilon, noise.epsilon)
-        else:
-            delta = rng.normal(0.0, noise.sigma)
-        counts[event] = predicted.counts[event] * max(0.0, 1.0 + delta)
+    # one factor per present event in canonical order; a single sized draw
+    # yields the same stream as one scalar draw per event
+    events = [event for event in EVENTS if event in predicted.counts]
+    if noise.kind == "multiplicative_uniform":
+        deltas = rng.uniform(-noise.epsilon, noise.epsilon, size=len(events))
+    else:
+        deltas = rng.normal(0.0, noise.sigma, size=len(events))
+    counts = {
+        event: predicted.counts[event] * max(0.0, 1.0 + delta)
+        for event, delta in zip(events, deltas.tolist())
+    }
     return MeasurementResult(_clamp_miss_pairs(counts), provenance="simulated")
 
 

@@ -7,6 +7,15 @@ solved for ``x >= 0`` with the Lawson-Hanson active-set scheme: the passive
 set grows by the most positive dual component and each inner least-squares
 subproblem is solved by orthogonal factorization.
 
+A solve may start from a guessed passive set (Lawson & Hanson 1974; Bro & De
+Jong 1997).  The refinement rounds pass their whole working set, which round
+1 picked from its passive set.  Their systems share the matrix and differ in
+the right-hand side and row weights, so most of them certify after one or two
+least-squares solves instead of rebuilding the passive set column by column.
+The result keeps its bits: Lawson-Hanson returns ``lstsq`` over its final
+passive set, so a warm and a cold solve that end on the same passive set
+return the same ``x`` and residual.
+
 Rows are weighted so one unit of weighted residual means the same thing on
 every row: a metric row is scaled by ``1/(target * expected denominator
 count)``, making its residual the relative error of the achieved metric, and
@@ -167,16 +176,30 @@ def unreachable_rows(system: LinearSystem) -> tuple[str, ...]:
     )
 
 
-def nnls(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None) -> NnlsSolution:
+def nnls(
+    system: LinearSystem,
+    tol: float = 1e-10,
+    max_iter: int | None = None,
+    start=None,
+) -> NnlsSolution:
     """Minimize ``||W(Ax - b)||`` subject to ``x >= 0`` (Lawson-Hanson).
 
+    ``start`` is an optional boolean mask over the columns: the guessed
+    passive set.  The least-squares solution on it is re-solved without its
+    nonpositive components until it is strictly positive, and the
+    Lawson-Hanson loop then runs from that feasible point with the same dual
+    test and certificate as a cold solve.  Whenever the final passive set is
+    the one a cold solve reaches, ``x`` and the residual are bit-identical to
+    the cold solve's, since both are ``lstsq`` over that set.
+
+    ``iterations`` counts the columns the loop added to the passive set.
     Exceeding ``max_iter`` returns the best solution found so far with
     ``certified=False``; a certified solution satisfies the KKT conditions at
     ``tol * scale`` where ``scale = max(1, ||(WA)^T Wb||_inf)``.
     """
     if tol <= 0:
         raise InvalidSystemError(f"tol must be > 0, got {tol}")
-    if not (np.all(np.isfinite(system.matrix)) and np.all(np.isfinite(system.rhs))):
+    if not (np.isfinite(system.matrix).all() and np.isfinite(system.rhs).all()):
         raise InvalidSystemError("system contains NaN or Inf entries")
 
     a = system.matrix * system.row_weights[:, None]
@@ -187,7 +210,20 @@ def nnls(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None) 
 
     x = np.zeros(cols)
     passive = np.zeros(cols, dtype=bool)
-    scale = max(1.0, float(np.max(np.abs(a.T @ b))) if cols else 1.0)
+    if start is not None:
+        passive = np.array(start, dtype=bool)
+        if passive.shape != (cols,):
+            raise InvalidSystemError(
+                f"start mask has shape {passive.shape}, system has {cols} columns"
+            )
+        while passive.any():
+            z = np.zeros(cols)
+            z[passive], *_ = np.linalg.lstsq(a[:, passive], b, rcond=None)
+            if z[passive].min() > 0:
+                x = z
+                break
+            passive &= z > 0
+    scale = max(1.0, float(np.abs(a.T @ b).max()) if cols else 1.0)
     threshold = tol * scale
 
     iterations = 0
@@ -195,26 +231,30 @@ def nnls(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None) 
     while iterations < max_iter:
         dual = a.T @ (b - a @ x)
         dual[passive] = -np.inf
-        if not np.any(~passive) or np.max(dual) <= threshold:
+        if passive.all() or dual.max() <= threshold:
             certified = True
             break
-        passive[int(np.argmax(dual))] = True
+        passive[int(dual.argmax())] = True
         iterations += 1
 
         while True:
             z = np.zeros(cols)
             z[passive], *_ = np.linalg.lstsq(a[:, passive], b, rcond=None)
-            if np.min(z[passive]) > 0:
+            if z[passive].min() > 0:
                 x = z
                 break
             # step back to the boundary and drop the blocking components
             mask = passive & (z <= 0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(mask, x / (x - z), np.inf)
-            alpha = float(np.min(ratios))
+            alpha = float(ratios.min())
             if not math.isfinite(alpha):
                 alpha = 0.0  # blocking components already sit at zero
+            blocking = int(ratios.argmin())
             x = x + alpha * (z - x)
+            # rounding can leave the blocking component a hair above zero,
+            # and the same step then repeats with ever smaller alpha forever
+            x[blocking] = 0.0
             passive &= x > 0
             x[~passive] = 0.0
 

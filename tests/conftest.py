@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from proxybench import (
     default_library,
     predict_events,
 )
+from proxybench.solver import nnls
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +42,18 @@ def hidden_targets(library, rng, lo=10_000, hi=200_000):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20231115)
+
+
+@pytest.fixture
+def recorded_solves(monkeypatch):
+    """Every ``nnls`` call that ``align`` makes, as (system, args, kwargs,
+    solution)."""
+    calls = []
+
+    def recording_nnls(system, *args, **kwargs):
+        solution = nnls(system, *args, **kwargs)
+        calls.append((system, args, kwargs, solution))
+        return solution
+
+    monkeypatch.setattr(sys.modules["proxybench.align"], "nnls", recording_nnls)
+    return calls

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from proxybench.errors import (
 )
 from proxybench.report import accuracy
 from proxybench.solver import (
+    NnlsSolution,
     assemble_incremental_system,
     assemble_initial_system,
     counts_from_solution,
@@ -187,6 +189,45 @@ class TestErrors:
         with pytest.raises(AlignmentError, match="round 1"):
             align(library2, TargetMetrics({"cpi": 1.0}), AlignConfig(rounds=1, ins1=100.0),
                   SimulatedMachine(library2))
+
+    def test_uncertified_solve_raises_with_its_round(self, library, rng):
+        _, targets, _ = hidden_targets(library, rng)
+        config = AlignConfig(rounds=3, ins1=5e6, max_iter=1)
+        with pytest.raises(AlignmentError, match="round 1: NNLS solve not certified") as err:
+            align(library, targets, config, SimulatedMachine(library))
+        assert err.value.round_index == 1
+
+    def test_uncertified_refinement_solve_raises(self, library, rng, monkeypatch):
+        align_module = sys.modules["proxybench.align"]
+        calls = []
+
+        def third_solve_uncertified(system, *args, **kwargs):
+            solution = nnls(system, *args, **kwargs)
+            calls.append(solution)
+            if len(calls) == 3:
+                return NnlsSolution(solution.x, solution.residual_norm, 99, certified=False)
+            return solution
+
+        monkeypatch.setattr(align_module, "nnls", third_solve_uncertified)
+        _, targets, _ = hidden_targets(library, rng)
+        config = AlignConfig(rounds=5, ins1=5e6)
+        machine = SimulatedMachine(library, NoiseModel.uniform(0.03, seed=7))
+        with pytest.raises(AlignmentError, match="round 3: NNLS solve not certified") as err:
+            align(library, targets, config, machine)
+        assert err.value.round_index == 3
+
+
+class TestSolverWork:
+    def test_refinement_rounds_start_warm(self, library, rng, recorded_solves):
+        # Lawson-Hanson iterations summed over rounds 2-10 of one seeded
+        # align; measured 3 with the warm start and 88 with cold solves, so a
+        # lost warm start fails the bound of 9
+        _, targets, _ = hidden_targets(library, rng)
+        config = AlignConfig(rounds=10, ins1=5e6)
+        machine = SimulatedMachine(library, NoiseModel.uniform(0.03, seed=7))
+        align(library, targets, config, machine)
+        assert len(recorded_solves) == 10
+        assert sum(call[3].iterations for call in recorded_solves[1:]) <= 9
 
 
 class TestInstructionTotal:

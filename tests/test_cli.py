@@ -224,6 +224,51 @@ class TestMalformedLibrary:
             assert err.startswith(f"error: block {block_id}: ")
 
 
+def _set_mix_reps(value):
+    def mutate(doc):
+        block = _first_block(doc, "arithmetic")
+        block["params"]["mix"][0][1] = value
+        return block["id"]
+    return mutate
+
+
+# values that int()/bool() would coerce without complaint, so the loaded
+# library would no longer write back the document it was read from
+LOSSY_PARAMS = {
+    "fractional stride": (_set_param("memory_access", "stride", 8.5), "memory_access"),
+    "integral float stride": (_set_param("memory_access", "stride", 8.0), "memory_access"),
+    "boolean count": (_set_param("function_access", "count", True), "function_access"),
+    "float threshold": (_set_param("branch_predict", "threshold", 128.0), "branch_predict"),
+    "float repetitions": (_set_mix_reps(16.0), "arithmetic"),
+    "boolean repetitions": (_set_mix_reps(True), "arithmetic"),
+    "string fp": (_set_param("arithmetic", "fp", "no"), "arithmetic"),
+    "integer fp": (_set_param("arithmetic", "fp", 0), "arithmetic"),
+}
+
+
+class TestLossyParams:
+    @pytest.mark.parametrize("command", ["validate", "align"])
+    @pytest.mark.parametrize("case", sorted(LOSSY_PARAMS))
+    def test_rejected_not_coerced(
+        self, library_path, targets_path, tmp_path, capsys, case, command
+    ):
+        mutate, family = LOSSY_PARAMS[case]
+        doc = json.loads(library_path.read_text())
+        block_id = mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        if command == "validate":
+            argv = ["library", "validate", str(bad)]
+        else:
+            argv = ["align", str(targets_path[0]), "--library", str(bad),
+                    "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: block {block_id}: malformed {family} params: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRenderCommand:
     def test_render_program_manifest(self, library_path, tmp_path, library):
         program = sample_hidden_program(library, np.random.default_rng(1))

@@ -5,6 +5,7 @@ import pytest
 
 from proxybench import (
     EVENTS,
+    EventProfile,
     NoiseModel,
     ProxyProgram,
     SimulatedMachine,
@@ -13,6 +14,7 @@ from proxybench import (
     predict_events,
     simulate,
 )
+from proxybench.blocks import BlockLibrary, make_arith_block
 from proxybench.errors import CountsParseError, DocumentFormatError, DuplicateEventError
 from proxybench.events import MISS_ACCESS_PAIRS
 
@@ -101,6 +103,56 @@ class TestSimulate:
         machine = SimulatedMachine(library, NoiseModel.uniform(0.02, seed=1))
         assert machine.measure(program, nonce=7).counts == \
             simulate(program, library, NoiseModel.uniform(0.02, seed=1), nonce=7).counts
+
+
+def scalar_draw_reference(program, library, noise, nonce):
+    """Multiplicative noise drawn one scalar per present event, in canonical
+    event order."""
+    predicted = predict_events(program, library).counts
+    rng = np.random.default_rng([noise.seed & 0xFFFFFFFFFFFFFFFF, nonce & 0xFFFFFFFFFFFFFFFF])
+    counts = {}
+    for event in EVENTS:
+        if event not in predicted:
+            continue
+        if noise.kind == "multiplicative_uniform":
+            delta = rng.uniform(-noise.epsilon, noise.epsilon)
+        else:
+            delta = rng.normal(0.0, noise.sigma)
+        counts[event] = predicted[event] * max(0.0, 1.0 + delta)
+    for miss, access in MISS_ACCESS_PAIRS:
+        if miss in counts and access in counts:
+            counts[miss] = min(counts[miss], counts[access])
+    return counts
+
+
+class TestNoiseStream:
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.uniform(0.03, seed=0),
+        NoiseModel.uniform(0.5, seed=99),
+        NoiseModel.uniform(0.05, seed=2**40 + 3),
+        NoiseModel.gaussian(0.02, seed=0),
+        NoiseModel.gaussian(0.8, seed=7),
+        NoiseModel.gaussian(0.1, seed=2**40 + 3),
+    ], ids=lambda noise: f"{noise.kind}-{noise.seed}")
+    @pytest.mark.parametrize("nonce", [0, 1, 10, -1])
+    def test_simulate_equals_scalar_draws(self, library, program, noise, nonce):
+        expected = scalar_draw_reference(program, library, noise, nonce)
+        assert simulate(program, library, noise, nonce).counts == expected
+
+    def test_partial_profiles_draw_for_present_events_only(self):
+        counts = {"instructions": 100.0, "cycles": 150.0, "l1d_accesses": 40.0,
+                  "l1d_misses": 4.0}
+        library = BlockLibrary(
+            {"p": make_arith_block((("add", 1),), block_id="p").with_profile(
+                EventProfile(counts, 1000))},
+            1000,
+        )
+        program = ProxyProgram((("p", 5000),))
+        for seed in range(20):
+            for noise in (NoiseModel.uniform(0.05, seed), NoiseModel.gaussian(0.3, seed)):
+                measured = simulate(program, library, noise, nonce=seed)
+                assert set(measured.counts) == set(counts)
+                assert measured.counts == scalar_draw_reference(program, library, noise, seed)
 
 
 class TestCountsDocuments:

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -6,9 +8,13 @@ from scipy.optimize import nnls as scipy_nnls
 
 from proxybench import (
     METRICS,
+    AlignConfig,
     EventProfile,
+    NoiseModel,
     ProxyProgram,
+    SimulatedMachine,
     TargetMetrics,
+    align,
     compute_all_metrics,
     predict_events,
 )
@@ -31,6 +37,7 @@ from proxybench.solver import (
     select_blocks,
     unreachable_rows,
 )
+from tests.conftest import hidden_targets, sample_hidden_program
 
 N0 = 10_000_000
 
@@ -93,6 +100,35 @@ FULL_COUNTS_C = {
     "load_insts": 4_000.0, "store_insts": 1_000.0,
     "fp_insts": 5_000.0, "int_insts": 12_000.0, "vec_insts": 1_000.0,
 }
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Turn a hang inside the block into a failing test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_kkt_certified(a, b, solution, tol):
+    assert solution.certified
+    # certificate recomputed with independent arithmetic
+    gradient = a.T @ (a @ solution.x - b)
+    scale = max(1.0, np.max(np.abs(a.T @ b)))
+    support = solution.x > 0
+    assert np.all(np.abs(gradient[support]) <= tol * scale)
+    assert np.all(-gradient[~support] <= tol * scale)
+    # any feasible point bounds the optimum from above
+    x_scipy, _ = scipy_nnls(a, b)
+    feasible_residual = np.linalg.norm(a @ np.maximum(x_scipy, 0.0) - b)
+    assert solution.residual_norm <= feasible_residual + 1e-9
 
 
 class TestAssembleInitial:
@@ -169,7 +205,7 @@ class TestAssembleInitial:
     def test_row_weights_match_a_left_to_right_reference(self, library, rng):
         # denominator estimate: ins1 times the mean per-instruction
         # denominator rate, summed left to right in library order
-        from tests.conftest import hidden_targets
+        from tests.conftest import hidden_targets, sample_hidden_program
 
         _, targets, _ = hidden_targets(library, rng)
         ins1 = 5e6
@@ -306,21 +342,83 @@ class TestNnls:
             cols = int(rng.integers(1, 20))
             a = rng.standard_normal((rows, cols))
             b = rng.standard_normal(rows)
-            solution = nnls(plain_system(a, b), tol=tol)
-            assert solution.certified
-            # certificate recomputed with independent arithmetic
-            gradient = a.T @ (a @ solution.x - b)
-            scale = max(1.0, np.max(np.abs(a.T @ b)))
-            support = solution.x > 0
-            assert np.all(np.abs(gradient[support]) <= tol * scale)
-            assert np.all(-gradient[~support] <= tol * scale)
-            # any feasible point bounds the optimum from above
-            x_scipy, _ = scipy_nnls(a, b)
-            feasible_residual = np.linalg.norm(a @ np.maximum(x_scipy, 0.0) - b)
-            assert solution.residual_norm <= feasible_residual + 1e-9
+            assert_kkt_certified(a, b, nnls(plain_system(a, b), tol=tol), tol)
+
+    def test_kkt_certificate_random_systems_from_random_starts(self):
+        rng = np.random.default_rng(12)
+        tol = 1e-8
+        for _ in range(100):
+            rows = int(rng.integers(2, 15))
+            cols = int(rng.integers(1, 20))
+            a = rng.standard_normal((rows, cols))
+            b = rng.standard_normal(rows)
+            start = rng.random(cols) < rng.random()
+            solution = nnls(plain_system(a, b), tol=tol, start=start)
+            assert_kkt_certified(a, b, solution, tol)
+
+    def test_start_mask_must_match_the_columns(self):
+        system = plain_system(np.eye(3), [1.0, 2.0, 3.0])
+        with pytest.raises(InvalidSystemError, match="start mask"):
+            nnls(system, start=[True, False])
+
+    def test_warm_start_equals_cold_solve_on_align_systems(self, library, recorded_solves):
+        # the systems of rounds 2-10 of noisy seeded aligns, solved as align
+        # solves them (warm, from the working set) and cold: same bits
+        rng = np.random.default_rng(2024)
+        config = AlignConfig(rounds=10, ins1=5e6)
+        for i in range(200):
+            _, targets, _ = hidden_targets(library, rng)
+            noise = (NoiseModel.uniform(0.03, seed=i) if i % 2
+                     else NoiseModel.gaussian(0.02, seed=i))
+            align(library, targets, config, SimulatedMachine(library, noise))
+        warm_solves = [call for call in recorded_solves if call[2].get("start") is not None]
+        assert len(warm_solves) == 200 * 9
+        for system, args, _, warm in warm_solves:
+            cold = nnls(system, *args)
+            assert warm.x.tobytes() == cold.x.tobytes()
+            assert warm.residual_norm == cold.residual_norm
+            assert warm.certified and cold.certified
+
+    def test_step_back_drops_a_blocker_left_above_zero(self, library, recorded_solves):
+        # the cold solve of round 10 of this seeded align steps back onto a
+        # blocking component that rounding leaves at 4e-19, not 0; unless it
+        # is dropped, the same step repeats with ever smaller alpha forever
+        rng = np.random.default_rng(2301)
+        for _ in range(10):
+            program = sample_hidden_program(library, rng)
+            noise_seed = int(rng.integers(0, 2**31))
+        targets = TargetMetrics(compute_all_metrics(predict_events(program, library), METRICS))
+        machine = SimulatedMachine(library, NoiseModel.uniform(0.03, seed=noise_seed))
+        align(library, targets, AlignConfig(rounds=10, ins1=5e6), machine)
+        system, args, _, warm = recorded_solves[9]
+        with deadline(seconds=10):
+            cold = nnls(system, *args)
+        assert cold.certified and cold.iterations == 10
+        assert cold.x.tobytes() == warm.x.tobytes()
+
+    def test_warm_start_escapes_a_worse_certified_point(self):
+        # nearly collinear columns: the cold solve takes c0 alone, where the
+        # dual of c1 (1e-11) passes the 1e-10 * 1e6 test, and certifies a
+        # residual of 1e-3; b = 9e5 * c0 + 1e5 * c1 is an exact fit
+        a = np.array([[1.0, 1.0], [0.0, 1e-8]])
+        b = np.array([1e6, 1e-3])
+        cold = nnls(plain_system(a, b))
+        warm = nnls(plain_system(a, b), start=[True, True])
+        assert cold.certified and warm.certified
+        assert cold.x[1] == 0.0 and cold.residual_norm == pytest.approx(1e-3)
+        assert warm.residual_norm <= cold.residual_norm
+        assert warm.residual_norm <= 1e-9
+        assert warm.x == pytest.approx([9e5, 1e5], rel=1e-6)
+
+    def test_warm_start_drops_nonpositive_components_first(self):
+        # least squares on both columns puts x1 < 0; the start phase drops it
+        # and the loop then certifies the diagonal clamp
+        solution = nnls(plain_system(np.eye(2), [-1.0, 2.0]), tol=1e-12, start=[True, True])
+        assert solution.certified and solution.iterations == 0
+        assert solution.x.tolist() == [0.0, 2.0]
 
     def test_feasible_target_exactness(self, library, rng):
-        from tests.conftest import hidden_targets
+        from tests.conftest import hidden_targets, sample_hidden_program
 
         # large counts keep integer rounding of the reconstruction below 1e-6
         hidden, targets, ins1 = hidden_targets(library, rng, lo=2_000_000, hi=20_000_000)
@@ -370,7 +468,7 @@ class TestSelection:
             select_blocks(NnlsSolution(np.zeros(2), 0.0, 1), library, eps=0.0)
 
     def test_full_solve_prunes_strict_subset(self, library, rng):
-        from tests.conftest import hidden_targets
+        from tests.conftest import hidden_targets, sample_hidden_program
 
         _, targets, ins1 = hidden_targets(library, rng)
         system = assemble_initial_system(library, targets, ins1)
