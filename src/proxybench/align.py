@@ -5,10 +5,14 @@ blocks with (near-)zero execution shares, and keeps the surviving sub-library
 fixed.  Every later round measures the current proxy, asks for 20% more
 instructions (configurable), solves the incremental system for nonnegative
 execution-count increases, and grows the program.  Counts never decrease.
+
+The working set's metric rows are copied out of round 1's matrix once; a
+refinement round computes only its right-hand side and row weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import AlignmentError, DocumentFormatError, ProxyBenchError
@@ -26,6 +30,7 @@ from .jsonutil import dumps_canonical, loads_document
 from .measure import Measurer
 from .report import accuracy
 from .solver import (
+    MetricRows,
     NnlsSolution,
     assemble_incremental_system,
     assemble_initial_system,
@@ -49,10 +54,9 @@ class AlignConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise DocumentFormatError("rounds must be >= 1")
-        if self.growth <= 0:
-            raise DocumentFormatError("growth must be > 0")
-        if self.ins1 <= 0:
-            raise DocumentFormatError("ins1 must be > 0")
+        for name, value in (("growth", self.growth), ("ins1", self.ins1), ("tol", self.tol)):
+            if not (math.isfinite(value) and value > 0):
+                raise DocumentFormatError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -123,6 +127,7 @@ def align(
         solution = _certified(nnls(system, config.tol, config.max_iter), round_index)
         eps = config.prune_eps * float(max(solution.x, default=0.0))
         working = select_blocks(solution, library, eps)
+        rows = MetricRows.of(system, targets, working.ids())
         by_block = dict(zip(library.ids(), counts_from_solution(solution, library.n0)))
         program = ProxyProgram(tuple((b, by_block[b]) for b in working.ids()))
         # rounds 2..N start from the whole working set, which round 1 picked
@@ -141,7 +146,9 @@ def align(
             ):
                 break
             delta_ins = measured.counts["instructions"] * config.growth
-            system = assemble_incremental_system(working, targets, measured, delta_ins)
+            system = assemble_incremental_system(
+                working, targets, measured, delta_ins, rows=rows
+            )
             flagged = unreachable_rows(system)
             solution = _certified(
                 nnls(system, config.tol, config.max_iter, start=start), round_index

@@ -541,16 +541,24 @@ _FAMILY_PARTS = {
 }
 
 
+def _block_parts(spec: BlockSpec):
+    """(prelude, declarations, loop body, tail) lines of ``spec``."""
+    return _FAMILY_PARTS[spec.family](_c_ident(spec.id), spec.params)
+
+
 def block_prelude(spec: BlockSpec) -> list[str]:
-    prelude, _, _, _ = _FAMILY_PARTS[spec.family](_c_ident(spec.id), spec.params)
-    return prelude
+    return _block_parts(spec)[0]
 
 
 def block_fragment(spec: BlockSpec, iterations: int, indent: str = "") -> list[str]:
     """The exterior counted loop wrapping the family interior."""
+    return _fragment(spec, _block_parts(spec), iterations, indent)
+
+
+def _fragment(spec: BlockSpec, parts, iterations: int, indent: str) -> list[str]:
     if int(iterations) < 0:
         raise InvalidParameterError(f"iterations must be >= 0, got {iterations}")
-    _, decls, body, tail = _FAMILY_PARTS[spec.family](_c_ident(spec.id), spec.params)
+    _, decls, body, tail = parts
     lines = [f"{indent}/* block {spec.id}: {spec.family} */", f"{indent}{{"]
     lines += [f"{indent}    {d}" for d in decls]
     lines.append(f"{indent}    for (uint64_t it = 0u; it < {int(iterations)}u; ++it) {{")
@@ -589,12 +597,14 @@ def render_program(program: ProxyProgram, library: BlockLibrary) -> str:
         "static volatile uint64_t sink;",
         "",
     ]
-    emitted: set[str] = set()
+    # each distinct block's parts are built once: a function_access prelude
+    # runs to thousands of lines
+    parts = {}
     for block_id, _ in program.entries:
-        if block_id in emitted:
+        if block_id in parts:
             continue
-        emitted.add(block_id)
-        prelude = block_prelude(library.blocks[block_id])
+        parts[block_id] = _block_parts(library.blocks[block_id])
+        prelude = parts[block_id][0]
         if prelude:
             lines += prelude + [""]
     lines += [
@@ -604,7 +614,7 @@ def render_program(program: ProxyProgram, library: BlockLibrary) -> str:
         "    clock_gettime(CLOCK_MONOTONIC, &ts0);",
     ]
     for block_id, executions in program.entries:
-        lines += block_fragment(library.blocks[block_id], executions, indent="    ")
+        lines += _fragment(library.blocks[block_id], parts[block_id], executions, "    ")
     lines += [
         "    clock_gettime(CLOCK_MONOTONIC, &ts1);",
         "    double elapsed = (double)(ts1.tv_sec - ts0.tv_sec)",

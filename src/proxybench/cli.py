@@ -37,15 +37,22 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+# noise kind -> (model, level when the spec gives none)
+_NOISE_LEVELS = {"uniform": (NoiseModel.uniform, 0.03), "gaussian": (NoiseModel.gaussian, 0.01)}
+
+
 def _parse_noise(spec: str, seed: int) -> NoiseModel:
     kind, _, value = spec.partition(":")
     if kind == "none":
         return NoiseModel.none()
-    if kind == "uniform":
-        return NoiseModel.uniform(float(value or 0.03), seed)
-    if kind == "gaussian":
-        return NoiseModel.gaussian(float(value or 0.01), seed)
-    raise ProxyBenchError(f"unknown noise spec {spec!r} (use none, uniform:E, gaussian:S)")
+    model, default = _NOISE_LEVELS.get(kind, (None, None))
+    if model is None:
+        raise ProxyBenchError(f"unknown noise spec {spec!r} (use none, uniform:E, gaussian:S)")
+    try:
+        level = float(value) if value else default
+    except ValueError:
+        raise ProxyBenchError(f"noise spec {spec!r}: {value!r} is not a number") from None
+    return model(level, seed)
 
 
 def _cmd_library(args) -> int:

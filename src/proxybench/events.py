@@ -293,6 +293,47 @@ class ProxyProgram:
         return tuple(b for b, _ in self.entries)
 
 
+class ProfileRows:
+    """The linear count model of one block sequence.
+
+    Holds the profile rows of the sequence's distinct blocks, absent events
+    as zero, and the events any of them profiles.  Predicting a program over
+    the same sequence then only scales these rows by its execution counts.
+    """
+
+    def __init__(self, block_ids: tuple[str, ...], library):
+        distinct = tuple(dict.fromkeys(block_ids))
+        rows = []
+        for block_id in distinct:
+            row = library.row_index.get(block_id)
+            if row is None:
+                raise UnresolvedBlockError(f"program references unknown block {block_id!r}")
+            if library.blocks[block_id].profile is None:
+                raise IncompleteProfileError(f"block {block_id} has no calibrated profile")
+            rows.append(row)
+        counts = library.event_matrix[rows]
+        absent = np.isnan(counts)
+        present = ~absent.all(axis=0)
+        self.library = library
+        self.block_ids = tuple(block_ids)
+        self.events = tuple(event for event, seen in zip(EVENTS, present.tolist()) if seen)
+        self._merge = len(distinct) != len(block_ids)
+        self._counts = np.where(absent, 0.0, counts)[:, present]
+        self._n0 = float(library.n0)
+
+    def predict(self, program: ProxyProgram) -> dict[str, float]:
+        """Predicted counts of ``program``, whose block ids must be this
+        model's sequence, per present event in canonical order."""
+        entries = program.merged().entries if self._merge else program.entries
+        executions = np.array([n for _, n in entries], dtype=float)
+        products = self._counts * executions[:, None]
+        n0 = self._n0
+        return {
+            event: math.fsum(column) / n0
+            for event, column in zip(self.events, products.T.tolist())
+        }
+
+
 def predict_events(program: ProxyProgram, library) -> MeasurementResult:
     """Predicted counts of ``program``: sum of profile counts scaled by N_j/n0.
 
@@ -301,27 +342,21 @@ def predict_events(program: ProxyProgram, library) -> MeasurementResult:
     are exactly representable predict exactly.  An event is predicted when any
     block of the program profiles it; blocks lacking it contribute zero.
     """
-    merged = program.merged()
-    rows = []
-    for block_id, _ in merged.entries:
-        row = library.row_index.get(block_id)
-        if row is None:
-            raise UnresolvedBlockError(f"program references unknown block {block_id!r}")
-        if library.blocks[block_id].profile is None:
-            raise IncompleteProfileError(f"block {block_id} has no calibrated profile")
-        rows.append(row)
-
-    counts = library.event_matrix[rows]
-    absent = np.isnan(counts)
-    executions = np.array([n for _, n in merged.entries], dtype=float)
-    products = np.where(absent, 0.0, counts) * executions[:, None]
-    n0 = float(library.n0)
-    predicted = {
-        event: math.fsum(column) / n0
-        for event, column, unseen in zip(EVENTS, products.T.tolist(), absent.all(axis=0))
-        if not unseen
-    }
+    predicted = ProfileRows(program.block_ids(), library).predict(program)
     return MeasurementResult(predicted, provenance="simulated")
+
+
+def check_prediction(counts: dict[str, float]) -> None:
+    """Raise the error a :class:`MeasurementResult` of ``counts``, from
+    :meth:`ProfileRows.predict`, would raise; noise applied afterwards can no
+    longer hide a prediction that fails its checks."""
+    # the counts are nonnegative floats, so a finite sum means finite counts
+    if not math.isfinite(sum(counts.values())) or any(
+        counts[miss] > counts[access]
+        for miss, access in MISS_ACCESS_PAIRS
+        if miss in counts and access in counts
+    ):
+        _validate_counts(counts, what="measurement")
 
 
 def compute_metric(counts: MeasurementResult, definition: MetricDefinition) -> float:

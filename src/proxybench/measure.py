@@ -31,7 +31,9 @@ from .events import (
     EVENTS,
     MISS_ACCESS_PAIRS,
     MeasurementResult,
+    ProfileRows,
     ProxyProgram,
+    check_prediction,
     predict_events,
 )
 
@@ -53,8 +55,8 @@ class NoiseModel:
             raise DocumentFormatError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.epsilon < 1.0:
             raise DocumentFormatError("epsilon must be in [0, 1)")
-        if self.sigma < 0.0:
-            raise DocumentFormatError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise DocumentFormatError("sigma must be finite and >= 0")
         if self.kind == "interaction":
             if self.matrix is None:
                 raise DocumentFormatError("interaction noise needs a matrix")
@@ -128,21 +130,25 @@ def simulate(
                 counts[event] = counts.get(event, 0.0) + max(0.0, factor) * value
         return MeasurementResult(_clamp_miss_pairs(counts), provenance="simulated")
 
-    predicted = predict_events(program, library)
     if noise.kind == "none":
-        return predicted
+        return predict_events(program, library)
+    predicted = ProfileRows(program.block_ids(), library).predict(program)
+    return _perturbed(predicted, noise, nonce)
 
+
+def _perturbed(predicted: dict[str, float], noise: NoiseModel, nonce: int) -> MeasurementResult:
+    """The measurement of ``predicted`` counts under multiplicative noise."""
+    check_prediction(predicted)
     rng = np.random.default_rng([noise.seed & 0xFFFFFFFFFFFFFFFF, nonce & 0xFFFFFFFFFFFFFFFF])
     # one factor per present event in canonical order; a single sized draw
     # yields the same stream as one scalar draw per event
-    events = [event for event in EVENTS if event in predicted.counts]
     if noise.kind == "multiplicative_uniform":
-        deltas = rng.uniform(-noise.epsilon, noise.epsilon, size=len(events))
+        deltas = rng.uniform(-noise.epsilon, noise.epsilon, size=len(predicted))
     else:
-        deltas = rng.normal(0.0, noise.sigma, size=len(events))
+        deltas = rng.normal(0.0, noise.sigma, size=len(predicted))
     counts = {
-        event: predicted.counts[event] * max(0.0, 1.0 + delta)
-        for event, delta in zip(events, deltas.tolist())
+        event: value * max(0.0, 1.0 + delta)
+        for (event, value), delta in zip(predicted.items(), deltas.tolist())
     }
     return MeasurementResult(_clamp_miss_pairs(counts), provenance="simulated")
 
@@ -157,16 +163,31 @@ class Measurer(Protocol):
 
 
 class SimulatedMachine:
-    """Measurer backed by :func:`simulate`; stateless after construction."""
+    """Measurer backed by :func:`simulate`.
+
+    It keeps the count model of the last program's block sequence, which
+    every round of an ``align`` shares; results are those of
+    :func:`simulate` all the same.
+    """
 
     events = EVENTS
 
     def __init__(self, library, noise: NoiseModel = NoiseModel.none()):
         self.library = library
         self.noise = noise
+        self._model: ProfileRows | None = None
 
     def measure(self, program: ProxyProgram, nonce: int = 0) -> MeasurementResult:
-        return simulate(program, self.library, self.noise, nonce)
+        if self.noise.kind == "interaction":
+            return simulate(program, self.library, self.noise, nonce)
+        model = self._model
+        block_ids = program.block_ids()
+        if model is None or model.library is not self.library or model.block_ids != block_ids:
+            model = self._model = ProfileRows(block_ids, self.library)
+        predicted = model.predict(program)
+        if self.noise.kind == "none":
+            return MeasurementResult(predicted, provenance="simulated")
+        return _perturbed(predicted, self.noise, nonce)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ The result keeps its bits: Lawson-Hanson returns ``lstsq`` over its final
 passive set, so a warm and a cold solve that end on the same passive set
 return the same ``x`` and residual.
 
+The refinement systems share more than the start: their matrix, labels and
+sign pattern depend only on the working set and the targets.  ``align``
+copies them once out of round 1's full-library matrix into a ``MetricRows``
+and hands it to every refinement round, which then computes only the
+right-hand side and the row weights from the measured counts.
+
 Rows are weighted so one unit of weighted residual means the same thing on
 every row: a metric row is scaled by ``1/(target * expected denominator
 count)``, making its residual the relative error of the achieved metric, and
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +67,49 @@ class LinearSystem:
             raise InvalidSystemError("column dimensions are inconsistent")
         if not np.all(self.row_weights > 0):
             raise InvalidSystemError("row weights must be positive")
+
+    @cached_property
+    def sign_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row: whether every coefficient is <= 0, and whether every
+        coefficient is >= 0."""
+        return _sign_pattern(self.matrix)
+
+
+def _sign_pattern(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.all(matrix <= 0, axis=1), np.all(matrix >= 0, axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class MetricRows:
+    """The metric rows and the budget row of the systems over one block set,
+    with their labels and sign pattern: everything in a refinement round's
+    system except the right-hand side and the row weights.
+
+    ``matrix`` is a read-only copy, since every system assembled from the rows
+    shares it.  The copy is C-contiguous, as a matrix assembled from scratch
+    is; over a strided view the solver's sums run in another order and the
+    last bits of its solution move.
+    """
+
+    matrix: np.ndarray
+    row_labels: tuple[str, ...]
+    col_labels: tuple[str, ...]
+    targets: TargetMetrics
+
+    def __post_init__(self):
+        matrix = np.array(self.matrix, dtype=float, order="C")
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "sign_pattern", _sign_pattern(self.matrix))
+        object.__setattr__(self, "definitions", self.targets.definitions())
+
+    @classmethod
+    def of(cls, system: LinearSystem, targets: TargetMetrics, ids) -> "MetricRows":
+        """The rows of ``system``, assembled for ``targets``, at the columns of
+        the blocks ``ids``."""
+        column = {label: j for j, label in enumerate(system.col_labels)}
+        matrix = system.matrix[:, [column[block_id] for block_id in ids]]
+        return cls(matrix, system.row_labels, tuple(ids), targets)
 
 
 @dataclass(frozen=True)
@@ -135,6 +185,8 @@ def assemble_incremental_system(
     targets: TargetMetrics,
     measured: MeasurementResult,
     delta_ins: float,
+    *,
+    rows: MetricRows | None = None,
 ) -> LinearSystem:
     """Equation system for one refinement round.
 
@@ -142,13 +194,20 @@ def assemble_incremental_system(
     right-hand side is the gap ``v * den(measured) - num(measured)`` left by
     the measured counts, and the budget row asks for ``delta_ins`` more
     instructions.
+
+    ``rows``, the :class:`MetricRows` of ``library`` and ``targets``, saves
+    assembling the matrix again; the system is the same either way.
     """
     if delta_ins < 0:
         raise InvalidSystemError(f"delta_ins must be >= 0, got {delta_ins}")
-    matrix, labels, cols, definitions, _ = _metric_rows(library, targets)
-    rhs = np.zeros(len(labels))
+    if rows is None:
+        matrix, labels, cols, _, _ = _metric_rows(library, targets)
+        rows = MetricRows(matrix, labels, cols, targets)
+    elif rows.col_labels != library.ids() or rows.targets != targets:
+        raise InvalidSystemError("metric rows were built for other blocks or targets")
+    rhs = np.zeros(len(rows.row_labels))
     denominators = []
-    for i, definition in enumerate(definitions):
+    for i, definition in enumerate(rows.definitions):
         value = targets.targets[definition.id]
         num = measured.counts.get(definition.numerator)
         den = measured.counts.get(definition.denominator)
@@ -159,16 +218,20 @@ def assemble_incremental_system(
         rhs[i] = value * den - num
         denominators.append(den)
     rhs[-1] = float(delta_ins)
-    weights = _row_weights(targets, definitions, denominators, float(delta_ins))
-    return LinearSystem(matrix, rhs, labels, tuple(cols), weights)
+    weights = _row_weights(targets, rows.definitions, denominators, float(delta_ins))
+    system = LinearSystem(rows.matrix, rhs, rows.row_labels, rows.col_labels, weights)
+    # the system's matrix is the rows' own, so its sign pattern is too
+    system.__dict__["sign_pattern"] = rows.sign_pattern
+    return system
 
 
 def unreachable_rows(system: LinearSystem) -> tuple[str, ...]:
     """Metric rows whose right-hand side cannot be approached with x >= 0."""
-    matrix, rhs = system.matrix, system.rhs
-    flagged = ((rhs > 0) & np.all(matrix <= 0, axis=1)) | (
-        (rhs < 0) & np.all(matrix >= 0, axis=1)
-    )
+    nonpositive, nonnegative = system.sign_pattern
+    rhs = system.rhs
+    flagged = ((rhs > 0) & nonpositive) | ((rhs < 0) & nonnegative)
+    if not flagged.any():
+        return ()
     return tuple(
         label
         for label, flag in zip(system.row_labels, flagged.tolist())
@@ -240,7 +303,8 @@ def nnls(
         while True:
             z = np.zeros(cols)
             z[passive], *_ = np.linalg.lstsq(a[:, passive], b, rcond=None)
-            if z[passive].min() > 0:
+            # a step back can empty the passive set; x = 0 is then feasible
+            if z[passive].min(initial=np.inf) > 0:
                 x = z
                 break
             # step back to the boundary and drop the blocking components

@@ -51,6 +51,12 @@ class TestConfig:
         with pytest.raises(DocumentFormatError):
             AlignConfig(ins1=-1.0)
 
+    @pytest.mark.parametrize("name", ["ins1", "growth", "tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(DocumentFormatError, match=f"{name} must be finite and > 0"):
+            AlignConfig(**{name: value})
+
 
 class TestNoiselessLoop:
     def test_round_one_hits_feasible_targets(self, library, rng):

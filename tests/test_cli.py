@@ -402,3 +402,36 @@ class TestNoiseFlag:
             "--noise", "pink:0.5",
         ]) == 1
         assert "noise" in capsys.readouterr().err
+
+
+BAD_NUMERIC_FLAGS = {
+    "uniform_not_a_number": (["--noise", "uniform:abc"], "uniform:abc"),
+    "gaussian_not_a_number": (["--noise", "gaussian:x"], "gaussian:x"),
+    "gaussian_nan": (["--noise", "gaussian:nan"], "sigma"),
+    "gaussian_inf": (["--noise", "gaussian:inf"], "sigma"),
+    "tol_nan": (["--tol", "nan"], "tol"),
+    "tol_inf": (["--tol", "inf"], "tol"),
+    "ins1_nan": (["--ins1", "nan"], "ins1"),
+    "ins1_inf": (["--ins1", "inf"], "ins1"),
+    "growth_nan": (["--growth", "nan"], "growth"),
+    "growth_inf": (["--growth", "inf"], "growth"),
+}
+
+
+class TestBadNumericFlags:
+    @pytest.mark.parametrize("case", sorted(BAD_NUMERIC_FLAGS))
+    def test_error_line_and_exit_one(self, library_path, targets_path, tmp_path, capsys, case):
+        flags, named = BAD_NUMERIC_FLAGS[case]
+        targets_file, _ = targets_path
+        out_dir = tmp_path / "out"
+        assert main([
+            "align", str(targets_file),
+            "--library", str(library_path),
+            "--out", str(out_dir),
+            "--rounds", "2",
+            *flags,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert named in err
+        assert not out_dir.exists()

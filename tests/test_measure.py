@@ -17,6 +17,7 @@ from proxybench import (
 from proxybench.blocks import BlockLibrary, make_arith_block
 from proxybench.errors import CountsParseError, DocumentFormatError, DuplicateEventError
 from proxybench.events import MISS_ACCESS_PAIRS
+from tests.conftest import sample_hidden_program
 
 
 @pytest.fixture
@@ -218,3 +219,58 @@ class TestCountsDocuments:
     def test_pair_invariant_checked(self):
         with pytest.raises(CountsParseError):
             parse_counts("l1d_misses=5\nl1d_accesses=2\n")
+
+
+class TestNonFiniteSigma:
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejected(self, sigma):
+        with pytest.raises(DocumentFormatError, match="sigma must be finite"):
+            NoiseModel.gaussian(sigma)
+
+
+class TestSimulatedMachineModel:
+    """The machine keeps the count model of the last block sequence; its
+    results must stay those of ``simulate``."""
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.none(), NoiseModel.uniform(0.03, seed=5), NoiseModel.gaussian(0.02, seed=6),
+    ], ids=lambda noise: noise.kind)
+    def test_equals_simulate_across_programs(self, library, noise):
+        rng = np.random.default_rng(808)
+        machine = SimulatedMachine(library, noise)
+        first = sample_hidden_program(library, rng)
+        programs = [first, first.scaled(3), sample_hidden_program(library, rng), first,
+                    first + first, ProxyProgram(), first]
+        for nonce, program in enumerate(programs):
+            assert machine.measure(program, nonce).counts == \
+                simulate(program, library, noise, nonce).counts
+
+    def test_follows_a_replaced_library(self, library):
+        program = ProxyProgram(((library.ids()[0], 1000),))
+        machine = SimulatedMachine(library)
+        machine.measure(program)
+        other = BlockLibrary({
+            library.ids()[0]: make_arith_block((("add", 1),), block_id=library.ids()[0])
+            .with_profile(EventProfile({"instructions": 7.0, "cycles": 9.0}, library.n0))
+        }, library.n0)
+        machine.library = other
+        assert machine.measure(program).counts == predict_events(program, other).counts
+
+    @pytest.mark.parametrize("noise", [NoiseModel.uniform(0.05, seed=1), NoiseModel.gaussian(0.1)],
+                             ids=lambda noise: noise.kind)
+    def test_prediction_checked_before_noise(self, noise):
+        # one block counts misses without accesses, so the prediction has
+        # more l1d misses than accesses; the noise's clamp must not hide it
+        library = BlockLibrary({
+            "a": make_arith_block((("add", 1),), block_id="a").with_profile(
+                EventProfile({"instructions": 10.0, "l1d_misses": 5.0}, 1000)),
+            "b": make_arith_block((("sub", 1),), block_id="b").with_profile(
+                EventProfile({"instructions": 10.0, "l1d_accesses": 2.0, "l1d_misses": 1.0}, 1000)),
+        }, 1000)
+        program = ProxyProgram((("a", 100), ("b", 100)))
+        with pytest.raises(DocumentFormatError, match="l1d_misses=.* exceeds l1d_accesses"):
+            predict_events(program, library)
+        with pytest.raises(DocumentFormatError, match="l1d_misses=.* exceeds l1d_accesses"):
+            simulate(program, library, noise)
+        with pytest.raises(DocumentFormatError, match="l1d_misses=.* exceeds l1d_accesses"):
+            SimulatedMachine(library, noise).measure(program)

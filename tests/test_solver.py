@@ -28,6 +28,7 @@ from proxybench.events import MeasurementResult
 from proxybench.solver import (
     BUDGET_ROW,
     LinearSystem,
+    MetricRows,
     NnlsSolution,
     assemble_incremental_system,
     assemble_initial_system,
@@ -503,3 +504,51 @@ class TestDump:
         assert float(fields[1]) == 1.0 and float(fields[2]) == 2.0
         assert fields[3] == "|"
         assert float(fields[4]) == 5.0 and float(fields[5]) == 1.0
+
+
+class TestMetricRows:
+    def test_rows_of_round_one_give_the_scratch_system(self, library, rng):
+        _, targets, ins1 = hidden_targets(library, rng)
+        initial = assemble_initial_system(library, targets, ins1)
+        ids = library.ids()[3:12:2]
+        rows = MetricRows.of(initial, targets, ids)
+        assert rows.matrix.flags.c_contiguous
+        assert not rows.matrix.flags.writeable
+        working = library.subset(ids)
+        measured = predict_events(sample_hidden_program(library, rng), library)
+        hoisted = assemble_incremental_system(working, targets, measured, 1e5, rows=rows)
+        scratch = assemble_incremental_system(working, targets, measured, 1e5)
+        for name in ("matrix", "rhs", "row_weights"):
+            assert getattr(hoisted, name).tobytes() == getattr(scratch, name).tobytes()
+        assert hoisted.row_labels == scratch.row_labels
+        assert hoisted.col_labels == scratch.col_labels == ids
+        assert hoisted.sign_pattern[0].tolist() == np.all(scratch.matrix <= 0, axis=1).tolist()
+        assert hoisted.sign_pattern[1].tolist() == np.all(scratch.matrix >= 0, axis=1).tolist()
+
+    def test_rows_for_other_blocks_or_targets_rejected(self, library, rng):
+        _, targets, ins1 = hidden_targets(library, rng)
+        initial = assemble_initial_system(library, targets, ins1)
+        ids = library.ids()[:5]
+        rows = MetricRows.of(initial, targets, ids)
+        measured = predict_events(sample_hidden_program(library, rng), library)
+        with pytest.raises(InvalidSystemError, match="other blocks or targets"):
+            assemble_incremental_system(library.subset(ids[:4]), targets, measured, 1.0, rows=rows)
+        other = TargetMetrics({"cpi": targets.targets["cpi"]})
+        with pytest.raises(InvalidSystemError, match="other blocks or targets"):
+            assemble_incremental_system(library.subset(ids), other, measured, 1.0, rows=rows)
+
+
+class TestEmptiedPassiveSet:
+    def test_ends_uncertified_instead_of_raising(self):
+        # a weight of 1e265 overflows lstsq's internal scaling; the step back
+        # then drops every passive column, and the inner loop must stop at
+        # x = 0 rather than take the minimum of an empty array
+        system = plain_system(
+            [[0.0, 0.0, 3.0], [-2.0, 2.0, 1.0], [-3.0, -1.0, 3.0]],
+            [0.0, -3.0, 2.0],
+            weights=[1e265, 1.0, 1.0],
+        )
+        with np.errstate(all="ignore"):
+            solution = nnls(system)
+        assert not solution.certified
+        assert solution.x.tolist() == [0.0, 0.0, 0.0]
