@@ -13,20 +13,23 @@ refinement round computes only its right-hand side and row weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import AlignmentError, DocumentFormatError, ProxyBenchError
 from .events import (
+    NUMBERS,
+    PROGRAM,
     MeasurementResult,
     MetricDefinition,
     ProxyProgram,
     TargetMetrics,
     compute_all_metrics,
+    is_count,
     predict_events,
     program_from_doc,
     program_to_doc,
 )
-from .jsonutil import dumps_canonical, loads_document
+from .jsonutil import codec
 from .measure import Measurer
 from .report import accuracy
 from .solver import (
@@ -52,11 +55,18 @@ class AlignConfig:
     stop_threshold: float | None = None  # stop early once all accuracies reach it
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise DocumentFormatError("rounds must be >= 1")
-        for name, value in (("growth", self.growth), ("ins1", self.ins1), ("tol", self.tol)):
-            if not (math.isfinite(value) and value > 0):
-                raise DocumentFormatError(f"{name} must be finite and > 0")
+        def need(name, valid, rule):
+            if not valid:
+                raise DocumentFormatError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+        need("rounds", is_count(self.rounds), "an int >= 1")
+        for name in ("growth", "ins1", "tol"):
+            value = getattr(self, name)
+            need(name, math.isfinite(value) and value > 0, "finite and > 0")
+        need("prune_eps", math.isfinite(self.prune_eps) and self.prune_eps >= 0, "finite and >= 0")
+        need("max_iter", self.max_iter is None or is_count(self.max_iter), "None or an int >= 1")
+        stop = self.stop_threshold
+        need("stop_threshold", stop is None or math.isfinite(stop), "None or finite")
 
 
 @dataclass(frozen=True)
@@ -185,25 +195,29 @@ def align(
 # ---------------------------------------------------------------------------
 # trace documents
 
+CONFIG = {
+    "rounds": int,
+    "growth": float,
+    "ins1": float,
+    "tol": float,
+    "prune_eps": float,
+    "max_iter": int | None,
+    "stop_threshold": float | None,
+}
+ROUND = {
+    "round": int,
+    "program": PROGRAM,
+    "measured": {"counts": NUMBERS, "provenance": str},
+    "metrics": NUMBERS,
+    "accuracy": NUMBERS,
+    "residual_norm": float,
+    "unreachable": [str],
+}
+TRACE = {"library_hash": str, "config": CONFIG, "targets": NUMBERS, "rounds": [ROUND]}
+
 
 def config_to_doc(config: AlignConfig) -> dict:
-    return {
-        "rounds": config.rounds,
-        "growth": config.growth,
-        "ins1": config.ins1,
-        "tol": config.tol,
-        "prune_eps": config.prune_eps,
-        "max_iter": config.max_iter,
-        "stop_threshold": config.stop_threshold,
-    }
-
-
-def config_from_doc(doc: dict) -> AlignConfig:
-    from .events import _require_keys
-
-    keys = {"rounds", "growth", "ins1", "tol", "prune_eps", "max_iter", "stop_threshold"}
-    _require_keys(doc, keys, keys, "config")
-    return AlignConfig(**doc)
+    return asdict(config)  # a config document holds its fields
 
 
 def trace_to_doc(trace: AlignmentTrace) -> dict:
@@ -230,41 +244,20 @@ def trace_to_doc(trace: AlignmentTrace) -> dict:
 
 
 def trace_from_doc(doc: dict) -> AlignmentTrace:
-    from .events import _require_keys
-
-    keys = {"library_hash", "config", "targets", "rounds"}
-    _require_keys(doc, keys, keys, "trace")
-    records = []
-    round_keys = {
-        "round", "program", "measured", "metrics", "accuracy", "residual_norm", "unreachable",
-    }
-    for entry in doc["rounds"]:
-        _require_keys(entry, round_keys, round_keys, "trace round")
-        measured = MeasurementResult(
-            entry["measured"]["counts"], entry["measured"]["provenance"]
+    records = tuple(
+        RoundRecord(
+            entry["round"],
+            program_from_doc(entry["program"]),
+            MeasurementResult(entry["measured"]["counts"], entry["measured"]["provenance"]),
+            entry["metrics"],
+            entry["accuracy"],
+            entry["residual_norm"],
+            tuple(entry["unreachable"]),
         )
-        records.append(
-            RoundRecord(
-                int(entry["round"]),
-                program_from_doc(entry["program"]),
-                measured,
-                {str(k): float(v) for k, v in entry["metrics"].items()},
-                {str(k): float(v) for k, v in entry["accuracy"].items()},
-                float(entry["residual_norm"]),
-                tuple(entry["unreachable"]),
-            )
-        )
-    return AlignmentTrace(
-        tuple(records),
-        str(doc["library_hash"]),
-        config_from_doc(doc["config"]),
-        TargetMetrics(doc["targets"]),
+        for entry in doc["rounds"]
     )
+    config, targets = AlignConfig(**doc["config"]), TargetMetrics(doc["targets"])
+    return AlignmentTrace(records, doc["library_hash"], config, targets)
 
 
-def dump_trace(trace: AlignmentTrace) -> str:
-    return dumps_canonical(trace_to_doc(trace))
-
-
-def load_trace(text: str) -> AlignmentTrace:
-    return trace_from_doc(loads_document(text))
+dump_trace, load_trace = codec("trace", TRACE, trace_to_doc, trace_from_doc)

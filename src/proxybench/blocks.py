@@ -67,15 +67,25 @@ from .errors import DocumentFormatError, InvalidParameterError, UnresolvedBlockE
 from .events import (
     EVENTS,
     N0_DEFAULT,
+    PROFILE,
     EventProfile,
     ProxyProgram,
-    _positive_int,
-    _require_keys,
+    is_count,
     profile_from_doc,
+    profile_to_doc,
 )
-from .jsonutil import dumps_canonical, loads_document
+from .jsonutil import NONEMPTY, OptionalKey, check, codec
 
-FAMILIES = ("memory_access", "function_access", "branch_predict", "arithmetic")
+# each family's params, as the shape of a library document holds them; no
+# value is coerced, as the make_*_block constructors do, so a loaded library
+# writes back the document it was read from
+_PARAMS = {
+    "memory_access": {"stride": int, "buffer": int},
+    "function_access": {"stride": int, "count": int},
+    "branch_predict": {"threshold": int},
+    "arithmetic": {"mix": [(str, int)], "fp": bool},
+}
+FAMILIES = tuple(_PARAMS)
 
 ARITH_OPS = ("add", "sub", "mul", "div")
 
@@ -134,33 +144,27 @@ def _param_str(value) -> str:
 
 
 def _validate_params(family: str, params: dict) -> None:
-    def need(keys):
-        if set(params) != set(keys):
-            raise InvalidParameterError(
-                f"{family} params must be exactly {sorted(keys)}, got {sorted(params)}"
-            )
-
+    if set(params) != set(_PARAMS[family]):
+        raise InvalidParameterError(
+            f"{family} params must be exactly {sorted(_PARAMS[family])}, got {sorted(params)}"
+        )
     if family == "memory_access":
-        need(("stride", "buffer"))
         stride, buffer = params["stride"], params["buffer"]
         if not 1 <= stride <= 2**20:
             raise InvalidParameterError(f"memory stride must be in [1, 2^20], got {stride}")
         if buffer < stride:
             raise InvalidParameterError(f"buffer ({buffer}) must be >= stride ({stride})")
     elif family == "function_access":
-        need(("stride", "count"))
         stride, count = params["stride"], params["count"]
         if stride < 1:
             raise InvalidParameterError(f"function stride must be >= 1, got {stride}")
         if not 2 <= count <= 65536:
             raise InvalidParameterError(f"function count must be in [2, 65536], got {count}")
     elif family == "branch_predict":
-        need(("threshold",))
         threshold = params["threshold"]
         if not 0 <= threshold <= 1024:
             raise InvalidParameterError(f"threshold must be in [0, 1024], got {threshold}")
     elif family == "arithmetic":
-        need(("mix", "fp"))
         mix = params["mix"]
         if not mix:
             raise InvalidParameterError("arithmetic mix must be nonempty")
@@ -353,7 +357,8 @@ class BlockLibrary:
     n0: int = N0_DEFAULT
 
     def __post_init__(self):
-        object.__setattr__(self, "n0", _positive_int(self.n0, "library n0 must be positive"))
+        if not is_count(self.n0):
+            raise DocumentFormatError(f"library n0 must be a positive integer, got {self.n0!r}")
         object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
         object.__setattr__(self, "_content_hash", None)
         for block_id, spec in self.blocks.items():
@@ -546,16 +551,8 @@ def _block_parts(spec: BlockSpec):
     return _FAMILY_PARTS[spec.family](_c_ident(spec.id), spec.params)
 
 
-def block_prelude(spec: BlockSpec) -> list[str]:
-    return _block_parts(spec)[0]
-
-
-def block_fragment(spec: BlockSpec, iterations: int, indent: str = "") -> list[str]:
-    """The exterior counted loop wrapping the family interior."""
-    return _fragment(spec, _block_parts(spec), iterations, indent)
-
-
 def _fragment(spec: BlockSpec, parts, iterations: int, indent: str) -> list[str]:
+    """The exterior counted loop wrapping the family interior."""
     if int(iterations) < 0:
         raise InvalidParameterError(f"iterations must be >= 0, got {iterations}")
     _, decls, body, tail = parts
@@ -572,12 +569,12 @@ def _fragment(spec: BlockSpec, parts, iterations: int, indent: str) -> list[str]
 def render_block(spec: BlockSpec, iterations: int) -> str:
     """Standalone source text for one block (declarations plus its loop)."""
     lines = ["#include <stdint.h>", "", "static volatile uint64_t sink;", ""]
-    prelude = block_prelude(spec)
-    if prelude:
-        lines += prelude + [""]
+    parts = _block_parts(spec)
+    if parts[0]:
+        lines += parts[0] + [""]
     lines.append(f"void run_{_c_ident(spec.id)}(void)")
     lines.append("{")
-    lines += block_fragment(spec, iterations, indent="    ")
+    lines += _fragment(spec, parts, iterations, "    ")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -630,68 +627,25 @@ def render_program(program: ProxyProgram, library: BlockLibrary) -> str:
 # ---------------------------------------------------------------------------
 # library documents
 
-
-def _params_to_doc(family: str, params: dict) -> dict:
-    if family == "arithmetic":
-        return {"mix": [[op, reps] for op, reps in params["mix"]], "fp": params["fp"]}
-    return dict(params)
+BLOCK = {"id": NONEMPTY, "family": str, "params": dict, OptionalKey("profile"): PROFILE}
+LIBRARY = {"n0": int, "blocks": [dict]}  # each block is checked on its own
 
 
 def block_to_doc(spec: BlockSpec) -> dict:
-    doc = {
-        "id": spec.id,
-        "family": spec.family,
-        "params": _params_to_doc(spec.family, spec.params),
-    }
+    doc = {"id": spec.id, "family": spec.family, "params": dict(spec.params)}
     if spec.profile is not None:
-        doc["profile"] = {"n0": spec.profile.n0, "counts": dict(spec.profile.counts)}
+        doc["profile"] = profile_to_doc(spec.profile)
     return doc
 
 
-def _doc_int(value) -> int:
-    if type(value) is not int:  # bool is an int subclass, 8.0 a float
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _doc_bool(value) -> bool:
-    if type(value) is not bool:
-        raise TypeError(f"expected a boolean, got {value!r}")
-    return value
-
-
-def _doc_mix(value) -> tuple[tuple[str, int], ...]:
-    return tuple((str(op), _doc_int(reps)) for op, reps in value)
-
-
-# how a document's params become BlockSpec params, per family; unlike the
-# make_*_block constructors nothing is coerced, so a loaded library writes
-# back the document it was read from
-_PARAMS_FROM_DOC = {
-    "memory_access": {"stride": _doc_int, "buffer": _doc_int},
-    "function_access": {"stride": _doc_int, "count": _doc_int},
-    "branch_predict": {"threshold": _doc_int},
-    "arithmetic": {"mix": _doc_mix, "fp": _doc_bool},
-}
-
-
 def block_from_doc(doc: dict) -> BlockSpec:
-    _require_keys(doc, {"id", "family", "params", "profile"}, {"id", "family", "params"}, "block")
-    block_id = doc["id"]
+    """The block of a JSON object, checked as ``BLOCK`` and by its family."""
+    check(BLOCK, doc, f"block {doc.get('id')}")
+    block_id, family, params = doc["id"], doc["family"], dict(doc["params"])
+    check(_PARAMS.get(family, dict), params, f"block {block_id}: malformed {family} params")
+    if family == "arithmetic":
+        params["mix"] = tuple(map(tuple, params["mix"]))
     try:
-        if not isinstance(block_id, str) or not block_id:
-            raise DocumentFormatError(f"id must be a nonempty string, got {block_id!r}")
-        family = doc["family"]
-        if not isinstance(family, str) or family not in _PARAMS_FROM_DOC:
-            raise DocumentFormatError(f"unknown block family {family!r}")
-        coercions = _PARAMS_FROM_DOC[family]
-        _require_keys(doc["params"], set(coercions), set(coercions), "params")
-        params = {}
-        for key, coerce in coercions.items():
-            try:
-                params[key] = coerce(doc["params"][key])
-            except (TypeError, ValueError) as exc:
-                raise DocumentFormatError(f"malformed {family} params: {key}: {exc}") from None
         profile = profile_from_doc(doc["profile"]) if "profile" in doc else None
         return BlockSpec(block_id, family, params, profile)
     except (DocumentFormatError, InvalidParameterError) as exc:
@@ -706,15 +660,7 @@ def library_to_doc(library: BlockLibrary) -> dict:
 
 
 def library_from_doc(doc: dict) -> BlockLibrary:
-    _require_keys(doc, {"n0", "blocks"}, {"n0", "blocks"}, "library")
-    if not isinstance(doc["blocks"], list):
-        raise DocumentFormatError("library: 'blocks' must be a list")
     return library_from_specs([block_from_doc(b) for b in doc["blocks"]], doc["n0"])
 
 
-def dump_library(library: BlockLibrary) -> str:
-    return dumps_canonical(library_to_doc(library))
-
-
-def load_library(text: str) -> BlockLibrary:
-    return library_from_doc(loads_document(text))
+dump_library, load_library = codec("library", LIBRARY, library_to_doc, library_from_doc)

@@ -24,7 +24,7 @@ from .errors import (
     UnknownEventError,
     UnresolvedBlockError,
 )
-from .jsonutil import dumps_canonical, loads_document
+from .jsonutil import NONEMPTY, codec
 
 # Occurrences per this many block executions is the calibration convention.
 N0_DEFAULT = 10_000_000
@@ -158,16 +158,9 @@ def _validate_counts(counts: Mapping[str, float], *, what: str) -> dict[str, flo
     return {name: clean[name] for name in EVENTS if name in clean}
 
 
-def _positive_int(value, message: str) -> int:
-    """``int(value)`` when that is a positive integer, else
-    ``DocumentFormatError(message)``."""
-    try:
-        value = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DocumentFormatError(message) from None
-    if value <= 0:
-        raise DocumentFormatError(message)
-    return value
+def is_count(value) -> bool:
+    """Whether ``value`` is an int >= 1; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -182,9 +175,8 @@ class EventProfile:
     n0: int = N0_DEFAULT
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "n0", _positive_int(self.n0, "profile n0 must be a positive integer")
-        )
+        if not is_count(self.n0):
+            raise DocumentFormatError(f"profile n0 must be a positive integer, got {self.n0!r}")
         clean = _validate_counts(self.counts, what="profile")
         if clean.get("instructions", 0.0) <= 0:
             raise DocumentFormatError("profile must have instructions > 0")
@@ -247,11 +239,7 @@ class ProxyProgram:
     def __post_init__(self):
         clean = []
         for block_id, executions in self.entries:
-            if isinstance(executions, float):
-                if not executions.is_integer():
-                    raise DocumentFormatError(
-                        f"block {block_id}: executions must be an integer, got {executions}"
-                    )
+            if isinstance(executions, float) and executions.is_integer():
                 executions = int(executions)
             try:
                 executions = operator.index(executions)
@@ -382,16 +370,9 @@ def compute_all_metrics(
 # ---------------------------------------------------------------------------
 # document formats
 
-
-def _require_keys(doc: dict, allowed: set[str], required: set[str], what: str) -> None:
-    if not isinstance(doc, dict):
-        raise DocumentFormatError(f"{what}: expected a JSON object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise DocumentFormatError(f"{what}: unknown keys {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise DocumentFormatError(f"{what}: missing keys {sorted(missing)}")
+NUMBERS = {str: float}  # event counts, or metric values by metric id
+PROFILE = {"n0": int, "counts": NUMBERS}
+PROGRAM = {"entries": [{"block": NONEMPTY, "executions": int}]}
 
 
 def profile_to_doc(profile: EventProfile) -> dict:
@@ -399,37 +380,7 @@ def profile_to_doc(profile: EventProfile) -> dict:
 
 
 def profile_from_doc(doc: dict) -> EventProfile:
-    _require_keys(doc, {"n0", "counts"}, {"n0", "counts"}, "profile")
-    if not isinstance(doc["counts"], dict):
-        raise DocumentFormatError("profile: 'counts' must be an object")
     return EventProfile(doc["counts"], doc["n0"])
-
-
-def dump_profile(profile: EventProfile) -> str:
-    return dumps_canonical(profile_to_doc(profile))
-
-
-def load_profile(text: str) -> EventProfile:
-    return profile_from_doc(loads_document(text))
-
-
-def targets_to_doc(targets: TargetMetrics) -> dict:
-    return {"metrics": dict(targets.targets)}
-
-
-def targets_from_doc(doc: dict) -> TargetMetrics:
-    _require_keys(doc, {"metrics"}, {"metrics"}, "targets")
-    if not isinstance(doc["metrics"], dict):
-        raise DocumentFormatError("targets: 'metrics' must be an object")
-    return TargetMetrics(doc["metrics"])
-
-
-def dump_targets(targets: TargetMetrics) -> str:
-    return dumps_canonical(targets_to_doc(targets))
-
-
-def load_targets(text: str) -> TargetMetrics:
-    return targets_from_doc(loads_document(text))
 
 
 def program_to_doc(program: ProxyProgram) -> dict:
@@ -442,19 +393,14 @@ def program_to_doc(program: ProxyProgram) -> dict:
 
 
 def program_from_doc(doc: dict) -> ProxyProgram:
-    _require_keys(doc, {"entries"}, {"entries"}, "program")
-    if not isinstance(doc["entries"], list):
-        raise DocumentFormatError("program: 'entries' must be a list")
-    entries = []
-    for entry in doc["entries"]:
-        _require_keys(entry, {"block", "executions"}, {"block", "executions"}, "program entry")
-        entries.append((entry["block"], entry["executions"]))
-    return ProxyProgram(tuple(entries))
+    return ProxyProgram(tuple((entry["block"], entry["executions"]) for entry in doc["entries"]))
 
 
-def dump_program(program: ProxyProgram) -> str:
-    return dumps_canonical(program_to_doc(program))
-
-
-def load_program(text: str) -> ProxyProgram:
-    return program_from_doc(loads_document(text))
+dump_profile, load_profile = codec("profile", PROFILE, profile_to_doc, profile_from_doc)
+dump_targets, load_targets = codec(
+    "targets",
+    {"metrics": NUMBERS},
+    lambda targets: {"metrics": dict(targets.targets)},
+    lambda doc: TargetMetrics(doc["metrics"]),
+)
+dump_program, load_program = codec("program", PROGRAM, program_to_doc, program_from_doc)

@@ -1,7 +1,9 @@
-"""Canonical JSON encoding and atomic file writes.
+"""Canonical JSON encoding, document shapes and atomic file writes.
 
 Every document this package writes goes through ``dumps_canonical`` so that
-write -> read -> write round trips are byte-identical.
+write -> read -> write round trips are byte-identical.  Every document it
+reads is checked against a shape first, so decoders build their objects
+from values of the expected JSON types.
 """
 
 from __future__ import annotations
@@ -9,8 +11,12 @@ from __future__ import annotations
 import functools
 import json
 import os
+import sys
 import tempfile
+import types
+from itertools import count, repeat
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from .errors import DocumentFormatError
 
@@ -87,11 +93,116 @@ def _key(key) -> str:
     return encode_basestring_ascii(key if isinstance(key, str) else _encoder(0)(key))
 
 
-def loads_document(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentFormatError(f"malformed JSON: {exc}") from None
+# ---------------------------------------------------------------------------
+# document shapes
+#
+# A shape describes a JSON value with Python literals:
+#   int            an integer: never a bool, never a float such as 8.0
+#   float          a finite number, int or float, never a bool
+#   str, bool      a string, a boolean
+#   NONEMPTY       a string other than ""
+#   dict           any object; its values are checked elsewhere
+#   object         any JSON value
+#   S | None       null or a value of the type S
+#   [S]            a list of values of shape S
+#   (S1, ..., Sn)  a list of n values, of shapes S1 ... Sn in order
+#   {str: S}       an object of any keys, each holding a value of shape S
+#   {"k": S, OptionalKey("o"): T}
+#                  an object with the key "k", maybe the key "o" and no
+#                  other, holding values of shapes S and T
+
+NONEMPTY = "a nonempty string"
+_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "a boolean",
+          dict: "an object", list: "a list", NONEMPTY: NONEMPTY}
+
+
+class OptionalKey(str):
+    """A key that an object may leave out; it equals the plain key."""
+
+
+def _misfit(shape, value):
+    """``None`` if ``value`` fits ``shape``, else the key path to the first
+    misfit and what is wrong there.  The path is built only on a misfit."""
+    kind = type(shape)
+    if kind is type:  # int, float, str, bool, dict or object
+        if shape is float:
+            # NaN and the infinities, which ``json`` reads, fail the range test
+            if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+                return None
+        elif shape is object:  # of its values, only containers and floats can misfit
+            inner = {dict: {str: object}, list: [object], float: float}.get(type(value))
+            return None if inner is None else _misfit(inner, value)
+        elif type(value) is shape:
+            return None
+    elif shape is NONEMPTY:
+        if type(value) is str and value:
+            return None
+    elif kind is types.UnionType:
+        return None if value is None else _misfit(shape.__args__[0], value)
+    elif type(value) is not (container := dict if kind is dict else list):
+        shape = container  # the kind to name
+    else:
+        if kind is list:
+            items = zip(count(), repeat(shape[0]), value)
+        elif kind is tuple:
+            if len(value) != len(shape):
+                return (), f"expected a list of {len(shape)} items, got {_text(value)}"
+            items = zip(count(), shape, value)
+        elif str in shape:
+            # event counts, most of a library, pass in C loops: a sum of
+            # floats is NaN or infinite if one of them is
+            values = value.values()
+            if shape[str] is float and {float} >= set(map(type, values)) and isfinite(sum(values)):
+                return None
+            items = zip(value, repeat(shape[str]), values)
+        else:
+            if value.keys() != shape.keys():
+                unknown = sorted(value.keys() - shape.keys())
+                missing = sorted(k for k in shape if type(k) is str and k not in value)
+                if unknown or missing:
+                    return (), f"unknown keys {unknown}" if unknown else f"missing keys {missing}"
+            items = zip(value, map(shape.__getitem__, value), value.values())
+        for key, item_shape, item in items:
+            misfit = _misfit(item_shape, item)
+            if misfit is not None:
+                return (key,) + misfit[0], misfit[1]
+        return None
+    return (), f"expected {_NAMES[shape]}, got {_text(value)}"
+
+
+def _text(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def check(shape, value, what: str) -> None:
+    """Raise ``DocumentFormatError`` naming ``what`` and the path to a misfit."""
+    misfit = _misfit(shape, value)
+    if misfit is not None:
+        path, problem = misfit
+        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
+        where = f"{what}: {where.removeprefix('.')}" if path else what
+        raise DocumentFormatError(f"{where}: {problem}")
+
+
+def codec(name: str, shape, to_doc, from_doc):
+    """``dump_<name>`` and ``load_<name>`` of a document whose JSON value fits
+    ``shape``; ``to_doc`` and ``from_doc`` convert it to and from objects."""
+
+    def dump(value) -> str:
+        return dumps_canonical(to_doc(value))
+
+    def load(text: str):
+        try:
+            doc = json.loads(text)
+            check(shape, doc, name)
+        except RecursionError:
+            raise DocumentFormatError(f"{name}: nested too deeply") from None
+        except ValueError as exc:  # bad JSON, or an int of too many digits
+            raise DocumentFormatError(f"malformed JSON: {exc}") from None
+        return from_doc(doc)
+
+    return dump, load
 
 
 def write_text_atomic(path: str, text: str) -> None:

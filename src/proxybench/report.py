@@ -21,8 +21,8 @@ from .errors import (
     UndefinedAccuracyError,
     UndefinedCorrelationError,
 )
-from .events import MetricDefinition, TargetMetrics
-from .jsonutil import dumps_canonical, loads_document
+from .events import NUMBERS, MetricDefinition, TargetMetrics
+from .jsonutil import codec
 
 
 def accuracy(real_value: float, proxy_value: float) -> float:
@@ -139,6 +139,14 @@ def report_table(report: AccuracyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+REPORT = {
+    "per_metric": NUMBERS,
+    "per_category": NUMBERS,
+    "table": [(str, float, float, float, str)],
+    "metadata": {str: object},
+}
+
+
 def report_to_doc(report: AccuracyReport) -> dict:
     return {
         "per_metric": dict(report.per_metric),
@@ -149,24 +157,8 @@ def report_to_doc(report: AccuracyReport) -> dict:
 
 
 def report_from_doc(doc: dict) -> AccuracyReport:
-    from .events import _require_keys
-
-    keys = {"per_metric", "per_category", "table", "metadata"}
-    _require_keys(doc, keys, keys, "report")
-    table = tuple(
-        (str(m), float(t), float(p), float(a), str(c)) for m, t, p, a, c in doc["table"]
-    )
-    return AccuracyReport(
-        {str(k): float(v) for k, v in doc["per_metric"].items()},
-        {str(k): float(v) for k, v in doc["per_category"].items()},
-        table,
-        dict(doc["metadata"]),
-    )
+    table = tuple(map(tuple, doc["table"]))
+    return AccuracyReport(doc["per_metric"], doc["per_category"], table, doc["metadata"])
 
 
-def dump_report(report: AccuracyReport) -> str:
-    return dumps_canonical(report_to_doc(report))
-
-
-def load_report(text: str) -> AccuracyReport:
-    return report_from_doc(loads_document(text))
+dump_report, load_report = codec("report", REPORT, report_to_doc, report_from_doc)

@@ -158,6 +158,17 @@ def _row_weights(targets, definitions, denominators, budget: float) -> np.ndarra
     return weights
 
 
+def _system(matrix, rhs, labels, cols, weights) -> LinearSystem:
+    """The weighted system, unless a row's weighted sum of squares overflows:
+    lstsq returns NaN for it, so the solve could only end uncertified."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = matrix * weights[:, None]
+        overflows = ~np.isfinite(np.einsum("ij,ij->i", a, a) + (rhs * weights) ** 2)
+    if overflows.any():
+        raise InvalidSystemError(f"weighted row {labels[overflows.argmax()]} overflows a float")
+    return LinearSystem(matrix, rhs, labels, cols, weights)
+
+
 def assemble_initial_system(library, targets: TargetMetrics, ins1: float) -> LinearSystem:
     """Equation system for the first solve: homogeneous metric rows plus the
     instruction-budget row with right-hand side ``ins1``.
@@ -177,7 +188,7 @@ def assemble_initial_system(library, targets: TargetMetrics, ins1: float) -> Lin
         for per_instruction in (denominator_counts / matrix[-1]).tolist()
     ]
     weights = _row_weights(targets, definitions, denominators, float(ins1))
-    return LinearSystem(matrix, rhs, labels, tuple(cols), weights)
+    return _system(matrix, rhs, labels, tuple(cols), weights)
 
 
 def assemble_incremental_system(
@@ -219,7 +230,7 @@ def assemble_incremental_system(
         denominators.append(den)
     rhs[-1] = float(delta_ins)
     weights = _row_weights(targets, rows.definitions, denominators, float(delta_ins))
-    system = LinearSystem(rows.matrix, rhs, rows.row_labels, rows.col_labels, weights)
+    system = _system(rows.matrix, rhs, rows.row_labels, rows.col_labels, weights)
     # the system's matrix is the rows' own, so its sign pattern is too
     system.__dict__["sign_pattern"] = rows.sign_pattern
     return system

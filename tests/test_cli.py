@@ -415,6 +415,9 @@ BAD_NUMERIC_FLAGS = {
     "ins1_inf": (["--ins1", "inf"], "ins1"),
     "growth_nan": (["--growth", "nan"], "growth"),
     "growth_inf": (["--growth", "inf"], "growth"),
+    "eps_nan": (["--eps", "nan"], "prune_eps"),
+    "eps_inf": (["--eps", "inf"], "prune_eps"),
+    "eps_negative": (["--eps", "-1"], "prune_eps must be finite and >= 0, got -1.0"),
 }
 
 
@@ -434,4 +437,41 @@ class TestBadNumericFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert named in err
+        assert not out_dir.exists()
+
+
+def _set_target(name, value):
+    def mutate(targets_doc, library_doc):
+        targets_doc["metrics"][name] = value
+    return mutate
+
+
+def _set_count(event, value):
+    def mutate(targets_doc, library_doc):
+        library_doc["blocks"][0]["profile"]["counts"][event] = value
+    return mutate
+
+
+# inputs whose weighted cpi row overflows a float, so lstsq would return NaN
+OVERFLOWING_ROWS = {
+    "tiny cpi target": _set_target("cpi", 1e-300),
+    "huge cycles count": _set_count("cycles", 1e308),
+}
+
+
+class TestOverflowingRows:
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_ROWS))
+    def test_error_names_the_metric(self, library_path, targets_path, tmp_path, capsys, case):
+        targets_doc = json.loads(targets_path[0].read_text())
+        library_doc = json.loads(library_path.read_text())
+        OVERFLOWING_ROWS[case](targets_doc, library_doc)
+        targets_file, library_file = tmp_path / "t.json", tmp_path / "l.json"
+        targets_file.write_text(json.dumps(targets_doc))
+        library_file.write_text(json.dumps(library_doc))
+        out_dir = tmp_path / "out"
+        assert main([
+            "align", str(targets_file), "--library", str(library_file), "--out", str(out_dir),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: round 1: weighted row cpi overflows a float\n"
         assert not out_dir.exists()
