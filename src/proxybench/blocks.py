@@ -546,9 +546,16 @@ _FAMILY_PARTS = {
 }
 
 
-def _block_parts(spec: BlockSpec):
-    """(prelude, declarations, loop body, tail) lines of ``spec``."""
-    return _FAMILY_PARTS[spec.family](_c_ident(spec.id), spec.params)
+# the param that sizes a family's static resource; blocks of the family that
+# agree on it share one buffer or one function pool
+_SHARED_BY = {"memory_access": "buffer", "function_access": "count"}
+
+
+def _block_parts(spec: BlockSpec, owner: str | None = None):
+    """(prelude, declarations, loop body, tail) lines of ``spec``.  The
+    buffer or function pool is named after block ``owner``, by default
+    ``spec`` itself."""
+    return _FAMILY_PARTS[spec.family](_c_ident(owner or spec.id), spec.params)
 
 
 def _fragment(spec: BlockSpec, parts, iterations: int, indent: str) -> list[str]:
@@ -594,15 +601,21 @@ def render_program(program: ProxyProgram, library: BlockLibrary) -> str:
         "static volatile uint64_t sink;",
         "",
     ]
-    # each distinct block's parts are built once: a function_access prelude
-    # runs to thousands of lines
+    # each distinct block's parts are built once, and each buffer or function
+    # pool is emitted once, named after the first block in program order that
+    # uses it: a function_access prelude runs to thousands of lines
     parts = {}
+    owners = {}
     for block_id, _ in program.entries:
         if block_id in parts:
             continue
-        parts[block_id] = _block_parts(library.blocks[block_id])
+        spec = library.blocks[block_id]
+        shared = _SHARED_BY.get(spec.family)
+        key = (spec.family, spec.params[shared]) if shared else block_id
+        owner = owners.setdefault(key, block_id)
+        parts[block_id] = _block_parts(spec, owner)
         prelude = parts[block_id][0]
-        if prelude:
+        if prelude and owner == block_id:
             lines += prelude + [""]
     lines += [
         "int main(void)",

@@ -314,7 +314,9 @@ class ProfileRows:
         model's sequence, per present event in canonical order."""
         entries = program.merged().entries if self._merge else program.entries
         executions = np.array([n for _, n in entries], dtype=float)
-        products = self._counts * executions[:, None]
+        # an overflow to infinity fails the finiteness check of the counts
+        with np.errstate(over="ignore"):
+            products = self._counts * executions[:, None]
         n0 = self._n0
         return {
             event: math.fsum(column) / n0

@@ -142,7 +142,9 @@ def _metric_rows(library, targets: TargetMetrics):
             f"block {cols[j]} lacks event {pairs[i][k]} needed by metric {labels[i]}"
         )
     values = np.array([targets.targets[d.id] for d in definitions] + [0.0])
-    matrix = counts[:, :, 0] - values[:, None] * counts[:, :, 1]
+    # a product that overflows is caught, with its row named, in _system
+    with np.errstate(over="ignore"):
+        matrix = counts[:, :, 0] - values[:, None] * counts[:, :, 1]
     return matrix, labels, cols, definitions, counts[:-1, :, 1]
 
 
@@ -152,6 +154,10 @@ def _row_weights(targets, definitions, denominators, budget: float) -> np.ndarra
     weights = np.ones(len(definitions) + 1)
     for i, definition in enumerate(definitions):
         scale = targets.targets[definition.id] * denominators[i]
+        if math.isinf(scale):
+            raise InvalidSystemError(
+                f"weighted row {definition.id}: target times denominator estimate overflows a float"
+            )
         if scale > 0:
             weights[i] = 1.0 / scale
     weights[-1] = max(len(definitions), 1) / max(abs(budget), 1.0)
@@ -181,12 +187,11 @@ def assemble_initial_system(library, targets: TargetMetrics, ins1: float) -> Lin
     matrix, labels, cols, definitions, denominator_counts = _metric_rows(library, targets)
     rhs = np.zeros(len(labels))
     rhs[-1] = float(ins1)
+    with np.errstate(over="ignore"):
+        per_instruction = (denominator_counts / matrix[-1]).tolist()
     # Python's left-to-right sum, not numpy's pairwise one, fixes the weights'
     # last bits
-    denominators = [
-        ins1 * sum(per_instruction) / len(per_instruction)
-        for per_instruction in (denominator_counts / matrix[-1]).tolist()
-    ]
+    denominators = [ins1 * sum(row) / len(row) for row in per_instruction]
     weights = _row_weights(targets, definitions, denominators, float(ins1))
     return _system(matrix, rhs, labels, tuple(cols), weights)
 

@@ -258,6 +258,42 @@ class TestRendering:
         run = subprocess.run([str(binary)], check=True, capture_output=True, text=True)
         assert "elapsed_seconds=" in run.stdout
 
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_blocks_share_one_pool_per_count_and_one_buffer_per_size(self, tmp_path, library):
+        fn_ids = [b for b in library.ids() if b.startswith("fn_stride")]
+        mem_ids = [b for b in library.ids() if b.startswith("mem_stride")][:3]
+        assert len(fn_ids) == 4
+        ids = [fn_ids[0], mem_ids[0], fn_ids[1], mem_ids[1], fn_ids[2], mem_ids[2], fn_ids[3]]
+        program = ProxyProgram(tuple((b, 1000 + 37 * i) for i, b in enumerate(ids)))
+        text = render_program(program, library)
+        assert text.count("aligned(64)))") == 512
+        assert text.count("static uint64_t (*const tab_") == 1
+        assert text.count("static unsigned char buf_") == 1
+
+        # each function block starts from sink, adds idx + 1 per call and
+        # folds its sum back; memory blocks leave sink alone
+        sink = 0
+        for block_id, executions in program.entries:
+            if block_id not in fn_ids:
+                continue
+            params = library.blocks[block_id].params
+            step, count = max(1, params["stride"] // 64), params["count"]
+            acc, idx = sink, 0
+            for _ in range(executions):
+                acc = (acc + idx + 1) % 2**64
+                idx = (idx + step) % count
+            sink = (sink + acc) % 2**64
+
+        source = tmp_path / "proxy.c"
+        source.write_text(text)
+        binary = tmp_path / "proxy"
+        subprocess.run(
+            ["cc", "-O0", "-o", str(binary), str(source)],
+            check=True, capture_output=True,
+        )
+        run = subprocess.run([str(binary)], check=True, capture_output=True, text=True)
+        assert f"sink={sink}\n" in run.stdout
+
 
 class TestLibraryDocuments:
     def test_round_trip_is_byte_identical(self, library):

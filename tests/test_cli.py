@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from tests.conftest import hidden_targets, sample_hidden_program
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture
 def library_path(tmp_path):
@@ -144,7 +149,7 @@ class TestAlignCommand:
         }
         assert digests == {
             "program.json": "28d6a140754c9db4cb71e32f05380cb83f56c363455eb2a08e8c179b8292cf7c",
-            "proxy.c": "1014b333251021088b4189199651f1cce041b42d1776b33f334fdb13e6e98f9c",
+            "proxy.c": "94f6980553cba7db7b0117a408b2cde9172044c03178143341b4d297b650d730",
             "trace.json": "70caa12a023d6a8cfb3614b4e15e4e5d9ed2df8a3367f192e10a24b35f7ae813",
             "report.json": "5e7da28c19cfdf624bcbf3f7759566d4e4937cdec4b59cfa7f56821bc19f5e4a",
         }
@@ -474,4 +479,39 @@ class TestOverflowingRows:
         ]) == 1
         err = capsys.readouterr().err
         assert err == "error: round 1: weighted row cpi overflows a float\n"
+        assert not out_dir.exists()
+
+
+# block counts whose products or quotients overflow while the system is
+# assembled, with the error line each must end in; numpy warns on such an
+# overflow, and pytest captures warnings, so the align runs in a subprocess
+L1D_WEIGHT_OVERFLOWS = ("error: round 1: weighted row l1d_miss_rate: "
+                        "target times denominator estimate overflows a float\n")
+OVERFLOWING_COUNTS = {
+    "huge instructions": ({"instructions": 1e308},
+                          "error: round 1: weighted row branch_ratio overflows a float\n"),
+    "huge l1d_accesses": ({"l1d_accesses": 1e308}, L1D_WEIGHT_OVERFLOWS),
+    "huge l1d_accesses per instruction": ({"instructions": 0.5, "l1d_accesses": 1e308},
+                                          L1D_WEIGHT_OVERFLOWS),
+}
+
+
+class TestOverflowingCounts:
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_COUNTS))
+    def test_stderr_is_one_error_line(self, library_path, targets_path, tmp_path, case):
+        counts, error = OVERFLOWING_COUNTS[case]
+        library_doc = json.loads(library_path.read_text())
+        library_doc["blocks"][0]["profile"]["counts"].update(counts)
+        library_file = tmp_path / "l.json"
+        library_file.write_text(json.dumps(library_doc))
+        out_dir = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "proxybench.cli", "align", str(targets_path[0]),
+             "--library", str(library_file), "--out", str(out_dir)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr == error
         assert not out_dir.exists()
