@@ -124,6 +124,8 @@ def align(
 
     Returns the final program and the complete round-by-round trace.
     """
+    if not targets.targets:
+        raise AlignmentError("targets name no metric; give at least one")
     if measurer is None:
         from .measure import SimulatedMachine
 

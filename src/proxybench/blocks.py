@@ -370,7 +370,8 @@ class BlockLibrary:
                 )
 
     def __reduce__(self):
-        return BlockLibrary, (dict(self.blocks), self.n0)
+        # the state keeps the hash of a library loaded from its text
+        return BlockLibrary, (dict(self.blocks), self.n0), {"_content_hash": self._content_hash}
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -392,11 +393,11 @@ class BlockLibrary:
         )
 
     def content_hash(self) -> str:
-        """First 12 hex digits of the sha256 of the library document,
-        computed on the first call."""
+        """First 12 hex digits of the sha256 of the library document: the
+        text :func:`load_library` read the library from, or else the text
+        :func:`dump_library` writes, computed on the first call."""
         if self._content_hash is None:
-            digest = hashlib.sha256(dump_library(self).encode("utf-8")).hexdigest()[:12]
-            object.__setattr__(self, "_content_hash", digest)
+            object.__setattr__(self, "_content_hash", _text_hash(dump_library(self)))
         return self._content_hash
 
     @cached_property
@@ -676,4 +677,19 @@ def library_from_doc(doc: dict) -> BlockLibrary:
     return library_from_specs([block_from_doc(b) for b in doc["blocks"]], doc["n0"])
 
 
-dump_library, load_library = codec("library", LIBRARY, library_to_doc, library_from_doc)
+def _text_hash(text: str) -> str:
+    # "surrogatepass": a str built in memory may hold a lone surrogate, which
+    # no UTF-8 file can
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:12]
+
+
+dump_library, _load_library = codec("library", LIBRARY, library_to_doc, library_from_doc)
+
+
+def load_library(text: str) -> BlockLibrary:
+    """The library document ``text``, with the hash of ``text`` itself as its
+    content hash.  Every file proxybench writes is ``dump_library``'s text,
+    so re-encoding it would give the same hash."""
+    library = _load_library(text)
+    object.__setattr__(library, "_content_hash", _text_hash(text))
+    return library

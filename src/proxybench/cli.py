@@ -27,6 +27,7 @@ from .report import (
     mean_abs_rel_error,
     pearson,
 )
+from .solver import unreachable_targets
 
 DEFAULT_SEED = 8675309
 DEFAULT_NOISE = "uniform:0.03"
@@ -84,6 +85,14 @@ def _cmd_align(args) -> int:
     )
     noise = _parse_noise(args.noise, args.seed)
     program, trace = align(library, targets, config, SimulatedMachine(library, noise))
+    # warned once align has finished, so an align that fails still ends in
+    # its one error line
+    for metric, (lo, hi) in unreachable_targets(library, targets).items():
+        print(
+            f"warning: target {metric}={targets.targets[metric]:g} is outside the "
+            f"library's reachable range [{lo:g}, {hi:g}]",
+            file=sys.stderr,
+        )
     report = build_report(
         targets,
         trace,

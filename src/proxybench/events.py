@@ -137,18 +137,30 @@ _BOUNDED_CATEGORIES = frozenset(
 
 
 def _validate_counts(counts: Mapping[str, float], *, what: str) -> dict[str, float]:
-    clean: dict[str, float] = {}
-    for name, value in counts.items():
-        require_event(name)
-        try:
-            value = float(value)
-        except (TypeError, ValueError, OverflowError):
-            raise DocumentFormatError(
-                f"{what}: count for {name} must be a finite number, got {value!r}"
-            ) from None
-        if not math.isfinite(value) or value < 0:
-            raise DocumentFormatError(f"{what}: count for {name} must be finite and >= 0")
-        clean[name] = value
+    values = counts.values()
+    # the common case passes in C loops: known events, plain floats, a finite
+    # sum (so no NaN or infinity) and no negative; otherwise the loop finds
+    # the offending count, or passes floats whose sum overflows
+    if (
+        _EVENT_SET.issuperset(counts)
+        and {float}.issuperset(map(type, values))
+        and math.isfinite(sum(values))
+        and min(values, default=0.0) >= 0
+    ):
+        clean = counts
+    else:
+        clean = {}
+        for name, value in counts.items():
+            require_event(name)
+            try:
+                value = float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise DocumentFormatError(
+                    f"{what}: count for {name} must be a finite number, got {value!r}"
+                ) from None
+            if not math.isfinite(value) or value < 0:
+                raise DocumentFormatError(f"{what}: count for {name} must be finite and >= 0")
+            clean[name] = value
     for miss, access in MISS_ACCESS_PAIRS:
         if miss in clean and access in clean and clean[miss] > clean[access]:
             raise DocumentFormatError(

@@ -255,6 +255,33 @@ def unreachable_rows(system: LinearSystem) -> tuple[str, ...]:
     )
 
 
+def unreachable_targets(library, targets: TargetMetrics) -> dict[str, tuple[float, float]]:
+    """The targets no program over ``library`` can reach, each with the range
+    of its metric over the library's blocks.
+
+    A program's metric is a nonnegative-weighted mediant of the blocks' own
+    ratios, so it lies between the smallest and the largest of them (in a
+    valid profile a zero denominator comes with a zero numerator, which adds
+    nothing).  A target outside that range by more than a relative 1e-9,
+    which rounding cannot explain, is unreachable.  Blocks lacking an event
+    are left out; the solver names them.
+    """
+    far = {}
+    for definition in targets.definitions():
+        num = library.event_matrix[:, EVENT_INDEX[definition.numerator]]
+        den = library.event_matrix[:, EVENT_INDEX[definition.denominator]]
+        keep = (den > 0) & ~np.isnan(num)
+        if not keep.any():
+            continue
+        with np.errstate(over="ignore"):
+            ratios = num[keep] / den[keep]
+        lo, hi = float(ratios.min()), float(ratios.max())
+        value = targets.targets[definition.id]
+        if value < lo * (1 - 1e-9) or value > hi * (1 + 1e-9):
+            far[definition.id] = (lo, hi)
+    return far
+
+
 def nnls(
     system: LinearSystem,
     tol: float = 1e-10,

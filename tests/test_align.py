@@ -196,6 +196,11 @@ class TestErrors:
             align(library2, TargetMetrics({"cpi": 1.0}), AlignConfig(rounds=1, ins1=100.0),
                   SimulatedMachine(library2))
 
+    def test_empty_targets_raise_before_round_one(self, library):
+        with pytest.raises(AlignmentError, match="^targets name no metric") as err:
+            align(library, TargetMetrics({}), AlignConfig(rounds=1, ins1=100.0))
+        assert err.value.round_index is None
+
     def test_uncertified_solve_raises_with_its_round(self, library, rng):
         _, targets, _ = hidden_targets(library, rng)
         config = AlignConfig(rounds=3, ins1=5e6, max_iter=1)

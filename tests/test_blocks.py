@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import math
 import pickle
 import re
@@ -378,3 +379,64 @@ class TestLibraryCaches:
         for clone in (copy.deepcopy(library), pickle.loads(pickle.dumps(library))):
             assert clone == library
             assert clone.content_hash() == library.content_hash()
+
+
+def sweep_library():
+    """Calibrated blocks of every family over several params each."""
+    specs = [make_memory_block(stride, 1 << 20) for stride in (8, 64, 512, 4096)]
+    specs += [make_function_block(stride, count) for stride in (64, 1024) for count in (4, 512)]
+    specs += [make_branch_block(threshold) for threshold in range(0, 1025, 128)]
+    specs += [make_arith_block(((op, reps),), fp=fp)
+              for op in ("add", "mul", "div") for reps in (1, 7) for fp in (False, True)]
+    return library_from_specs([calibrate_synthetic(spec) for spec in specs])
+
+
+def text_hash(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+
+
+class TestLoadedLibraryHash:
+    @pytest.mark.parametrize("make", [default_library, sweep_library])
+    def test_canonical_text_hashes_as_the_library(self, make):
+        library = make()
+        text = dump_library(library)
+        loaded = load_library(text)
+        assert loaded.content_hash() == library.content_hash() == text_hash(text)
+
+    def test_other_text_hashes_as_read(self, library):
+        text = json.dumps(json.loads(dump_library(library)))
+        loaded = load_library(text)
+        assert loaded == library
+        assert loaded.content_hash() == text_hash(text)
+        assert loaded.content_hash() != library.content_hash()
+
+    def test_copies_keep_a_loaded_hash(self, library):
+        loaded = load_library(json.dumps(json.loads(dump_library(library))))
+        for clone in (copy.deepcopy(loaded), pickle.loads(pickle.dumps(loaded))):
+            assert clone == loaded
+            assert clone.content_hash() == loaded.content_hash()
+
+    def test_loading_and_hashing_encode_nothing(self, monkeypatch):
+        # library_to_doc builds each block's document with block_to_doc
+        import proxybench.blocks as blocks_mod
+        import proxybench.jsonutil as jsonutil_mod
+
+        calls = {"block_to_doc": 0, "dumps_canonical": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        text = dump_library(sweep_library())
+        counted(blocks_mod, "block_to_doc")
+        counted(jsonutil_mod, "dumps_canonical")
+        load_library(text).content_hash()
+        assert calls == {"block_to_doc": 0, "dumps_canonical": 0}
+        # the counters see the re-encoding of a library built in memory
+        sweep_library().content_hash()
+        assert calls["block_to_doc"] > 0 and calls["dumps_canonical"] == 1

@@ -167,6 +167,49 @@ class TestAlignCommand:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestTargetChecks:
+    def test_unreachable_target_warns_and_aligns(self, library_path, tmp_path, capsys):
+        targets_file = tmp_path / "targets.json"
+        targets_file.write_text(json.dumps({"metrics": {"l1d_miss_rate": 0.5}}))
+        out_dir = tmp_path / "out"
+        assert main([
+            "align", str(targets_file), "--library", str(library_path), "--out", str(out_dir),
+        ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: target l1d_miss_rate=0.5 is outside the library's reachable range "
+            "[0.0001, 0.2251]\n"
+        )
+        assert captured.out == "cache_behavior\t0.0%\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "program.json", "proxy.c", "report.json", "trace.json",
+        ]
+
+    def test_targets_of_hidden_programs_give_no_warning(self, library_path, tmp_path, capsys):
+        rng = np.random.default_rng(4242)
+        for i in range(5):
+            _, targets, ins1 = hidden_targets(default_library(), rng)
+            targets_file = tmp_path / f"targets{i}.json"
+            targets_file.write_text(dump_targets(targets))
+            assert main([
+                "align", str(targets_file), "--library", str(library_path),
+                "--out", str(tmp_path / f"out{i}"), "--rounds", "2", "--ins1", str(ins1),
+            ]) == 0
+            assert capsys.readouterr().err == ""
+
+    def test_empty_targets_give_an_error_line(self, library_path, tmp_path, capsys):
+        targets_file = tmp_path / "targets.json"
+        targets_file.write_text('{"metrics": {}}')
+        out_dir = tmp_path / "out"
+        assert main([
+            "align", str(targets_file), "--library", str(library_path), "--out", str(out_dir),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: targets name no metric; give at least one\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+
 def _first_block(doc, family):
     return next(b for b in doc["blocks"] if b["family"] == family)
 

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from proxybench import (
@@ -24,6 +26,8 @@ from proxybench.errors import (
     UnresolvedBlockError,
 )
 from proxybench.events import (
+    MISS_ACCESS_PAIRS,
+    _validate_counts,
     dump_profile,
     dump_program,
     dump_targets,
@@ -261,6 +265,65 @@ class TestValidation:
         for definition in METRICS:
             assert definition.numerator in EVENTS
             assert definition.denominator in EVENTS
+
+
+def reference_counts(counts, *, what):
+    """``_validate_counts`` as one loop over the values, with no bulk test."""
+    clean = {}
+    for name, value in counts.items():
+        if name not in EVENTS:
+            raise UnknownEventError(f"unknown event name: {name!r}")
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise DocumentFormatError(
+                f"{what}: count for {name} must be a finite number, got {value!r}"
+            ) from None
+        if not math.isfinite(value) or value < 0:
+            raise DocumentFormatError(f"{what}: count for {name} must be finite and >= 0")
+        clean[name] = value
+    for miss, access in MISS_ACCESS_PAIRS:
+        if miss in clean and access in clean and clean[miss] > clean[access]:
+            raise DocumentFormatError(
+                f"{what}: {miss}={clean[miss]} exceeds {access}={clean[access]}"
+            )
+    return {name: clean[name] for name in EVENTS if name in clean}
+
+
+def outcome(validate, counts):
+    """The items, with each value's repr, or the error's type and message."""
+    try:
+        return [(name, repr(value)) for name, value in validate(counts, what="p").items()]
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+COUNT_VALUES = st.one_of(
+    st.floats(),  # NaN, the infinities and negatives included
+    st.floats(min_value=1e306, max_value=1.7976931348623157e308),  # sums that overflow
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e308, 10**400, -(10**400), "7", "x", None]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+)
+COUNT_NAMES = st.sampled_from(EVENTS + ("bogus", "", "Cycles"))
+
+
+class TestBulkCountCheck:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.dictionaries(COUNT_NAMES, COUNT_VALUES, max_size=len(EVENTS) + 3))
+    def test_matches_the_per_value_loop(self, counts):
+        assert outcome(_validate_counts, counts) == outcome(reference_counts, counts)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.dictionaries(
+        st.sampled_from(EVENTS),
+        st.one_of(st.floats(min_value=0.0, max_value=1e300),
+                  st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 1e308])),
+        max_size=len(EVENTS),
+    ))
+    def test_matches_on_float_counts(self, counts):
+        assert outcome(_validate_counts, counts) == outcome(reference_counts, counts)
 
 
 class TestDocuments:

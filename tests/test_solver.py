@@ -37,7 +37,9 @@ from proxybench.solver import (
     nnls,
     select_blocks,
     unreachable_rows,
+    unreachable_targets,
 )
+from tests.conftest import hidden_targets
 from tests.conftest import hidden_targets, sample_hidden_program
 
 N0 = 10_000_000
@@ -552,3 +554,49 @@ class TestEmptiedPassiveSet:
             solution = nnls(system)
         assert not solution.certified
         assert solution.x.tolist() == [0.0, 0.0, 0.0]
+
+
+def block_ratios(library, metric_id):
+    definition = next(d for d in METRICS if d.id == metric_id)
+    return [
+        spec.profile.counts[definition.numerator] / spec.profile.counts[definition.denominator]
+        for spec in library.blocks.values()
+    ]
+
+
+class TestUnreachableTargets:
+    def test_a_rate_past_every_block_is_flagged(self, library):
+        ratios = block_ratios(library, "l1d_miss_rate")
+        far = unreachable_targets(library, TargetMetrics({"l1d_miss_rate": 0.5, "cpi": 2.0}))
+        assert far == {"l1d_miss_rate": (min(ratios), max(ratios))}
+        assert far["l1d_miss_rate"] == pytest.approx((0.0001, 0.2251))
+
+    def test_a_relative_slack_of_1e_9(self, library):
+        hi = max(block_ratios(library, "cpi"))
+        assert unreachable_targets(library, TargetMetrics({"cpi": hi * (1 + 1e-10)})) == {}
+        assert "cpi" in unreachable_targets(library, TargetMetrics({"cpi": hi * (1 + 1e-8)}))
+
+    def test_targets_of_programs_over_the_library_are_never_flagged(self, library, rng):
+        for _ in range(200):
+            _, targets, _ = hidden_targets(library, rng)
+            assert unreachable_targets(library, targets) == {}
+
+    def test_targets_of_one_block_sit_on_the_range_ends(self, library):
+        for block_id in library.ids():
+            predicted = predict_events(ProxyProgram(((block_id, 123_457),)), library)
+            metrics = compute_all_metrics(predicted, METRICS)
+            targets = TargetMetrics({m: v for m, v in metrics.items() if v > 0})
+            assert unreachable_targets(library, targets) == {}
+
+    def test_blocks_without_the_denominator_are_left_out(self):
+        library = BlockLibrary({
+            "a": make_arith_block((("add", 1),), block_id="a").with_profile(
+                EventProfile({"instructions": 10.0, "l1d_accesses": 0.0, "l1d_misses": 0.0})
+            ),
+            "b": make_arith_block((("add", 2),), block_id="b").with_profile(
+                EventProfile({"instructions": 10.0, "l1d_accesses": 4.0, "l1d_misses": 1.0})
+            ),
+        })
+        assert unreachable_targets(library, TargetMetrics({"l1d_miss_rate": 0.5})) == {
+            "l1d_miss_rate": (0.25, 0.25)
+        }
