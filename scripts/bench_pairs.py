@@ -1,0 +1,182 @@
+"""Paired benchmark runs of a parent commit and the working tree.
+
+    python3 scripts/bench_pairs.py --parent HEAD --slug my_change \\
+        --run align_wide:401-410 --run align_small:411-413 \\
+        --traced align_wide:421-422
+
+The parent commit is unpacked with ``git archive`` into a temporary
+directory.  For each workload and seed, ``bench/run.py --workload W --seed S
+--seconds 30 --trace 0`` runs in both trees back to back, alternating which
+side runs first, so that both sides of a pair share the host's speed phase.
+``--traced`` adds ``--trace 1`` pairs, of which only the layer times are
+kept.  The summary goes to ``BENCH_<slug>.json`` at the repository root:
+every pair's metrics, each side's median and quartiles per metric, how many
+pairs the change won and how many were ties, and the host record of the
+first run.  Each run takes the benchmark's own run time plus its set-up.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+# metrics where the larger value is the better one; the rest are better lower
+HIGHER_IS_BETTER = frozenset(("accuracy_mean", "accuracy_worst_mean", "attempted"))
+RUN_TIMEOUT_S = 600
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"401-405,409"`` -> ``[401, 402, 403, 404, 405, 409]``."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds += range(int(first), int(last or first) + 1)
+    return seeds
+
+
+def parse_runs(specs: list[str]) -> dict[str, list[int]]:
+    """``["align_wide:401-410"]`` -> ``{"align_wide": [401, ..., 410]}``."""
+    runs = {}
+    for spec in specs:
+        workload, sep, seeds = spec.partition(":")
+        if not sep:
+            raise SystemExit(f"error: expected WORKLOAD:SEEDS, got {spec!r}")
+        runs[workload] = parse_seeds(seeds)
+    return runs
+
+
+def quartiles(values) -> dict[str, float]:
+    if len(values) == 1:
+        values = values * 2  # one run is its own median and quartiles
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict]) -> dict[str, dict]:
+    """Per metric: each side's median and quartiles, the pairs in which the
+    change reads better and the pairs that tie."""
+    summary = {}
+    for metric in sorted(pairs[0]["parent"]):
+        if metric == "correct":
+            continue
+        sign = 1 if metric in HIGHER_IS_BETTER else -1
+        gaps = [sign * (p["change"][metric] - p["parent"][metric]) for p in pairs]
+        summary[metric] = {
+            **{side: quartiles([p[side][metric] for p in pairs]) for side in SIDES},
+            "change_wins": sum(gap > 0 for gap in gaps),
+            "ties": sum(gap == 0 for gap in gaps),
+        }
+    return summary
+
+
+def unpack(rev: str, directory: Path) -> str:
+    """Write the tree of ``rev`` into ``directory``; returns its short hash."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive), mode="r:") as tar:
+        tar.extractall(directory, filter="data")
+    return subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run in ``tree``; returns the full record it wrote."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S + 4 * seconds)
+    if done.returncode != 0:
+        raise SystemExit(f"error: {' '.join(argv[1:])} in {tree} exited "
+                         f"{done.returncode}:\n{done.stderr[-2000:]}")
+    return json.loads((tree / "bench" / "out" / f"{workload}-trace{trace}.json").read_text())
+
+
+def end_to_end(detail: dict) -> dict:
+    result = detail["result"]
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "op_p50_ms": detail["extra"]["op_p50_ms"],
+        **{name: entry["value"] for name, entry in result["metrics"].items()},
+    }
+
+
+def layer_seconds(detail: dict) -> dict:
+    return {name: stat["s"] for name, stat in sorted(detail["extra"]["layers"].items())}
+
+
+def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float, trace: int,
+              hosts: list) -> list[dict]:
+    pairs = []
+    for index, seed in enumerate(seeds):
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            detail = bench(trees[side], workload, seed, seconds, trace)
+            hosts.append(detail["host_start"])
+            pair[side] = layer_seconds(detail) if trace else end_to_end(detail)
+        print(f"{workload} seed {seed} trace {trace}: "
+              + "  ".join(f"{side} {pair[side].get('op_p75_ms', pair[side].get('op'))}" for side in SIDES),
+              file=sys.stderr, flush=True)
+        pairs.append(pair)
+    return pairs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="the commit to compare against")
+    parser.add_argument("--slug", required=True, help="names the output BENCH_<slug>.json")
+    parser.add_argument("--run", action="append", default=[], metavar="WORKLOAD:SEEDS",
+                        help="untraced pairs, seeds as 401-410 or 401,403")
+    parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD:SEEDS",
+                        help="traced pairs, of which the layer times are kept")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    args = parser.parse_args(argv)
+    runs, traced = parse_runs(args.run), parse_runs(args.traced)
+    if not runs:
+        parser.error("give at least one --run")
+
+    command = "python3 bench/run.py --workload W --seed S --seconds {:g} --trace {}"
+    report = {
+        "command": command.format(args.seconds, 0),
+        "pair_order": "each pair runs the parent and the change back to back; "
+                      "'first' says which ran first",
+        "workloads": {},
+    }
+    hosts = []
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
+        report["parent_commit"] = unpack(args.parent, Path(parent))
+        trees = {"parent": Path(parent), "change": ROOT}
+        for workload, seeds in runs.items():
+            pairs = run_pairs(trees, workload, seeds, args.seconds, 0, hosts)
+            report["workloads"][workload] = {
+                "pairs": pairs, "seeds": seeds, "summary": summarize(pairs),
+            }
+        for workload, seeds in traced.items():
+            pairs = run_pairs(trees, workload, seeds, args.seconds, 1, hosts)
+            report[f"{workload}_traced"] = {
+                "command": command.format(args.seconds, 1),
+                "layers_s": {side: [pair[side] for pair in pairs] for side in SIDES},
+                "seeds": seeds,
+            }
+    report["host"] = hosts[0]
+    out = ROOT / f"BENCH_{args.slug}.json"
+    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {out.name}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -55,7 +55,6 @@ a miss count past its access count.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -65,16 +64,19 @@ import numpy as np
 
 from .errors import DocumentFormatError, InvalidParameterError, UnresolvedBlockError
 from .events import (
+    ABSENT_ROW,
     EVENTS,
     N0_DEFAULT,
     PROFILE,
     EventProfile,
     ProxyProgram,
+    event_row,
     is_count,
     profile_from_doc,
     profile_to_doc,
+    rows_are_profiles,
 )
-from .jsonutil import NONEMPTY, OptionalKey, check, codec
+from .jsonutil import NONEMPTY, OptionalKey, check, codec, compile_shape
 
 # each family's params, as the shape of a library document holds them; no
 # value is coerced, as the make_*_block constructors do, so a loaded library
@@ -108,6 +110,7 @@ _FP_VEC_SHARE = {"add": 0.25, "sub": 0.25, "mul": 0.5, "div": 0.5}
 _LCG_MUL = 6364136223846793005
 _LCG_ADD = 1442695040888963407
 _LCG_SEED = 0x9E3779B97F4A7C15
+_LOOP_MAX = 2**64 - 1  # the largest count of the uint64_t loop counter
 
 
 @dataclass(frozen=True)
@@ -408,16 +411,18 @@ class BlockLibrary:
     @cached_property
     def event_matrix(self) -> np.ndarray:
         """Read-only ``(blocks x EVENTS)`` profile counts in library order,
-        NaN where a profile lacks an event and on every uncalibrated block."""
-        rows = [
-            [spec.profile.counts.get(event, math.nan) for event in EVENTS]
-            if spec.profile is not None
-            else [math.nan] * len(EVENTS)
-            for spec in self.blocks.values()
-        ]
-        matrix = np.array(rows, dtype=float).reshape(len(rows), len(EVENTS))
-        matrix.flags.writeable = False
-        return matrix
+        NaN where a profile lacks an event and on every uncalibrated block.
+        A library loaded from a document has it from the load."""
+        return _event_matrix(
+            [ABSENT_ROW if spec.profile is None else event_row(spec.profile.counts)
+             for spec in self.blocks.values()]
+        )
+
+
+def _event_matrix(rows) -> np.ndarray:
+    matrix = np.array(rows, dtype=float).reshape(len(rows), len(EVENTS))
+    matrix.flags.writeable = False
+    return matrix
 
 
 def library_from_specs(specs, n0: int = N0_DEFAULT) -> BlockLibrary:
@@ -563,6 +568,10 @@ def _fragment(spec: BlockSpec, parts, iterations: int, indent: str) -> list[str]
     """The exterior counted loop wrapping the family interior."""
     if int(iterations) < 0:
         raise InvalidParameterError(f"iterations must be >= 0, got {iterations}")
+    if int(iterations) > _LOOP_MAX:  # a wider literal would be cut to 64 bits
+        raise InvalidParameterError(
+            f"block {spec.id}: iterations must be <= 2^64 - 1, got {iterations}"
+        )
     _, decls, body, tail = parts
     lines = [f"{indent}/* block {spec.id}: {spec.family} */", f"{indent}{{"]
     lines += [f"{indent}    {d}" for d in decls]
@@ -674,7 +683,78 @@ def library_to_doc(library: BlockLibrary) -> dict:
 
 
 def library_from_doc(doc: dict) -> BlockLibrary:
-    return library_from_specs([block_from_doc(b) for b in doc["blocks"]], doc["n0"])
+    """The library of a document that fits ``LIBRARY``, with its event
+    matrix.  One pass checks every block and gathers every profile into the
+    matrix, whose counts are then checked all at once; if any check fails,
+    ``block_from_doc`` decodes the blocks one by one and raises the error of
+    the first bad block."""
+    library = _library_in_one_pass(doc["blocks"], doc["n0"])
+    if library is None:
+        library = library_from_specs([block_from_doc(b) for b in doc["blocks"]], doc["n0"])
+    return library
+
+
+_BLOCK_MISFIT = compile_shape(BLOCK)
+_PARAMS_MISFIT = {family: compile_shape(shape) for family, shape in _PARAMS.items()}
+
+
+def _library_in_one_pass(docs: list, n0) -> BlockLibrary | None:
+    """The library of block documents ``docs``, or ``None`` if a block
+    fails any check that ``block_from_doc`` and ``BlockLibrary`` make."""
+    if not is_count(n0):
+        return None
+    rows, sizes, calibrated = [], [], []
+    for index, doc in enumerate(docs):
+        if _BLOCK_MISFIT(doc) is not None:
+            return None
+        params_misfit = _PARAMS_MISFIT.get(doc["family"])
+        if params_misfit is None or params_misfit(doc["params"]) is not None:
+            return None
+        profile = doc.get("profile")
+        if profile is None:
+            rows.append(ABSENT_ROW)
+            continue
+        if profile["n0"] != n0:
+            return None
+        counts = profile["counts"]
+        rows.append(event_row(counts))
+        sizes.append(len(counts))
+        calibrated.append(index)
+    matrix = _event_matrix(rows)
+    if not rows_are_profiles(matrix[calibrated], np.array(sizes)):
+        return None
+    # every check has passed or is made here, so the blocks and profiles are
+    # made without running their checks again
+    blocks = {}
+    for doc, row in zip(docs, matrix.tolist()):
+        block_id, family, params = doc["id"], doc["family"], dict(doc["params"])
+        if family == "arithmetic":
+            params["mix"] = tuple(map(tuple, params["mix"]))
+        try:
+            _validate_params(family, params)
+        except InvalidParameterError:
+            return None
+        spec = blocks[block_id] = object.__new__(BlockSpec)
+        vars(spec).update(
+            id=block_id,
+            family=family,
+            params=MappingProxyType(params),
+            profile=_profile_of_row(row, n0) if "profile" in doc else None,
+        )
+    if len(blocks) != len(docs):  # a duplicate id
+        return None
+    library = BlockLibrary(blocks, n0)
+    vars(library)["event_matrix"] = matrix  # what the cached property would compute
+    return library
+
+
+def _profile_of_row(row: list, n0: int) -> EventProfile:
+    """The profile of an event-matrix row that has passed
+    ``rows_are_profiles``, made without running the checks again."""
+    profile = object.__new__(EventProfile)
+    counts = {event: value for event, value in zip(EVENTS, row) if value == value}  # not NaN
+    vars(profile).update(counts=MappingProxyType(counts), n0=n0)
+    return profile
 
 
 def _text_hash(text: str) -> str:

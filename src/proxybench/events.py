@@ -71,6 +71,13 @@ MISS_ACCESS_PAIRS = (
     ("branch_misses", "branch_insts"),
 )
 
+# a library's event matrix holds, per calibrated block, the counts of
+# ``EVENTS`` in order: NaN where its profile lacks an event
+_EVENT_ROW = operator.itemgetter(*EVENTS)
+ABSENT_ROW = (math.nan,) * len(EVENTS)
+_MISS_COLUMNS = [EVENT_INDEX[miss] for miss, _ in MISS_ACCESS_PAIRS]
+_ACCESS_COLUMNS = [EVENT_INDEX[access] for _, access in MISS_ACCESS_PAIRS]
+
 CATEGORIES = (
     "processor_performance",
     "branch_prediction",
@@ -168,6 +175,31 @@ def _validate_counts(counts: Mapping[str, float], *, what: str) -> dict[str, flo
             )
     # canonical key order so downstream serialization is stable
     return {name: clean[name] for name in EVENTS if name in clean}
+
+
+def event_row(counts: Mapping[str, float]) -> tuple:
+    """``counts`` of every event in ``EVENTS`` order, NaN where absent: one
+    row of a library's event matrix.  Keys that are not events are left out."""
+    try:
+        return _EVENT_ROW(counts)
+    except KeyError:
+        return tuple(counts.get(event, math.nan) for event in EVENTS)
+
+
+def rows_are_profiles(rows: np.ndarray, sizes: np.ndarray) -> bool:
+    """Whether each of ``rows``, the :func:`event_row` of counts holding
+    ``sizes`` finite numbers, passes the checks of :class:`EventProfile`:
+    only known events, every count finite and >= 0, no miss count above its
+    access count, and instructions > 0."""
+    # every known event of finite count fills one cell that is not NaN; the
+    # comparisons are False on NaN, so an absent event passes them
+    return bool(
+        (np.count_nonzero(~np.isnan(rows), axis=1) == sizes).all()
+        and not np.isinf(rows).any()
+        and not (rows < 0).any()
+        and not (rows[:, _MISS_COLUMNS] > rows[:, _ACCESS_COLUMNS]).any()
+        and (rows[:, EVENT_INDEX["instructions"]] > 0).all()
+    )
 
 
 def is_count(value) -> bool:

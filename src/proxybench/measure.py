@@ -26,7 +26,12 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import CountsParseError, DocumentFormatError, DuplicateEventError
+from .errors import (
+    CountsParseError,
+    DocumentFormatError,
+    DuplicateEventError,
+    IncompleteProfileError,
+)
 from .events import (
     EVENTS,
     MISS_ACCESS_PAIRS,
@@ -111,6 +116,8 @@ def simulate(
         contributions = []
         for block_id, executions in merged.entries:
             profile = library.require(block_id).profile
+            if profile is None:
+                raise IncompleteProfileError(f"block {block_id} has no calibrated profile")
             contributions.append(
                 {e: c * executions / n0 for e, c in profile.counts.items()}
             )

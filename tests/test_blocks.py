@@ -440,3 +440,22 @@ class TestLoadedLibraryHash:
         # the counters see the re-encoding of a library built in memory
         sweep_library().content_hash()
         assert calls["block_to_doc"] > 0 and calls["dumps_canonical"] == 1
+
+    def test_loading_validates_no_profile_again(self, monkeypatch):
+        import proxybench.events as events_mod
+
+        calls = []
+        validate = events_mod._validate_counts
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["what"])
+            return validate(*args, **kwargs)
+
+        text = dump_library(sweep_library())
+        monkeypatch.setattr(events_mod, "_validate_counts", counted)
+        library = load_library(text)
+        assert calls == []
+        assert "event_matrix" in vars(library)  # built by the load
+        # the counter sees the profiles of a library built in memory
+        sweep_library()
+        assert calls and set(calls) == {"profile"}

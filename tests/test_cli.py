@@ -9,6 +9,7 @@ import pytest
 
 from proxybench import (
     METRICS,
+    ProxyProgram,
     SimulatedMachine,
     compute_all_metrics,
     default_library,
@@ -328,6 +329,18 @@ class TestRenderCommand:
         ]) == 0
         text = out.read_text()
         assert text.count("for (uint64_t it = 0u;") == len(program.entries)
+
+    def test_loop_count_beyond_64_bits_is_an_error(self, library_path, tmp_path, capsys):
+        # a wider literal would reach the compiler, which cuts it to 64 bits
+        manifest = tmp_path / "program.json"
+        out = tmp_path / "proxy.c"
+        for executions, code in ((2**64 - 1, 0), (2**65, 1)):
+            manifest.write_text(dump_program(ProxyProgram((("mem_stride8", executions),))))
+            argv = ["render", str(manifest), "--library", str(library_path), "--out", str(out)]
+            assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == f"error: block mem_stride8: iterations must be <= 2^64 - 1, got {2**65}\n"
+        assert f"it < {2**64 - 1}u;" in out.read_text()
 
     def test_render_to_stdout(self, library_path, tmp_path, library, capsys):
         manifest = tmp_path / "program.json"

@@ -21,6 +21,7 @@ from proxybench.blocks import BlockLibrary, make_arith_block
 from proxybench.errors import (
     DocumentFormatError,
     IncompleteProfileError,
+    ProxyBenchError,
     UndefinedMetricError,
     UnknownEventError,
     UnresolvedBlockError,
@@ -31,9 +32,11 @@ from proxybench.events import (
     dump_profile,
     dump_program,
     dump_targets,
+    event_row,
     load_profile,
     load_program,
     load_targets,
+    rows_are_profiles,
 )
 
 N0 = 10_000_000
@@ -324,6 +327,26 @@ class TestBulkCountCheck:
     ))
     def test_matches_on_float_counts(self, counts):
         assert outcome(_validate_counts, counts) == outcome(reference_counts, counts)
+
+
+class TestProfileRows:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.dictionaries(
+        COUNT_NAMES,
+        st.one_of(st.floats(min_value=0.0, max_value=1e300),
+                  st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0])),
+        max_size=len(EVENTS) + 2,
+    ))
+    def test_rows_pass_as_the_profile_checks(self, counts):
+        try:
+            profile = EventProfile(counts)
+        except ProxyBenchError:
+            profile = None
+        row = np.array([event_row(counts)])
+        assert rows_are_profiles(row, np.array([len(counts)])) == (profile is not None)
+        if profile is not None:
+            assert np.array_equal(row[0], event_row(profile.counts), equal_nan=True)
 
 
 class TestDocuments:

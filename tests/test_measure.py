@@ -15,7 +15,12 @@ from proxybench import (
     simulate,
 )
 from proxybench.blocks import BlockLibrary, make_arith_block
-from proxybench.errors import CountsParseError, DocumentFormatError, DuplicateEventError
+from proxybench.errors import (
+    CountsParseError,
+    DocumentFormatError,
+    DuplicateEventError,
+    IncompleteProfileError,
+)
 from proxybench.events import MISS_ACCESS_PAIRS
 from tests.conftest import sample_hidden_program
 
@@ -92,6 +97,17 @@ class TestSimulate:
     def test_interaction_dimension_mismatch(self, library, program):
         with pytest.raises(DocumentFormatError):
             simulate(program, library, NoiseModel.interaction(((0.0,),)))
+
+    @pytest.mark.parametrize("kind", ["none", "uniform", "interaction"])
+    def test_uncalibrated_block_raises_for_every_noise_kind(self, kind):
+        library = BlockLibrary({"raw": make_arith_block((("add", 1),), block_id="raw")})
+        noise = {
+            "none": NoiseModel.none(),
+            "uniform": NoiseModel.uniform(0.03),
+            "interaction": NoiseModel.interaction(((0.0,),)),
+        }[kind]
+        with pytest.raises(IncompleteProfileError, match="block raw has no calibrated profile"):
+            simulate(ProxyProgram((("raw", 1),)), library, noise)
 
     def test_miss_never_exceeds_access_under_noise(self, library, program):
         for seed in range(200):
