@@ -11,8 +11,10 @@ side runs first, so that both sides of a pair share the host's speed phase.
 ``--traced`` adds ``--trace 1`` pairs, of which only the layer times are
 kept.  The summary goes to ``BENCH_<slug>.json`` at the repository root:
 every pair's metrics, each side's median and quartiles per metric, how many
-pairs the change won and how many were ties, and the host record of the
-first run.  Each run takes the benchmark's own run time plus its set-up.
+pairs the change won and how many were ties, the host record of the
+first run, and each side's source line count (``src_lines``, the lines of
+its ``src/**/*.py`` files).  Each run takes the benchmark's own run time
+plus its set-up.
 """
 
 from __future__ import annotations
@@ -89,6 +91,11 @@ def unpack(rev: str, directory: Path) -> str:
                           capture_output=True, text=True, check=True).stdout.strip()
 
 
+def src_lines(tree: Path) -> int:
+    """The lines of the ``src/**/*.py`` files of ``tree``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/**/*.py"))
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run in ``tree``; returns the full record it wrote."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -159,6 +166,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
         report["parent_commit"] = unpack(args.parent, Path(parent))
         trees = {"parent": Path(parent), "change": ROOT}
+        report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload, seeds in runs.items():
             pairs = run_pairs(trees, workload, seeds, args.seconds, 0, hosts)
             report["workloads"][workload] = {

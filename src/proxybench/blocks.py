@@ -62,7 +62,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DocumentFormatError, InvalidParameterError, UnresolvedBlockError
+from .errors import (
+    DocumentFormatError,
+    InvalidParameterError,
+    ProxyBenchError,
+    UnresolvedBlockError,
+)
 from .events import (
     ABSENT_ROW,
     EVENTS,
@@ -70,13 +75,13 @@ from .events import (
     PROFILE,
     EventProfile,
     ProxyProgram,
+    count_misfit,
     event_row,
-    is_count,
-    profile_from_doc,
     profile_to_doc,
-    rows_are_profiles,
+    raise_count_error,
+    require_n0,
 )
-from .jsonutil import NONEMPTY, OptionalKey, check, codec, compile_shape
+from .jsonutil import NONEMPTY, OptionalKey, check, codec
 
 # each family's params, as the shape of a library document holds them; no
 # value is coerced, as the make_*_block constructors do, so a loaded library
@@ -124,8 +129,6 @@ class BlockSpec:
     profile: EventProfile | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidParameterError(f"unknown block family {self.family!r}")
         _validate_params(self.family, self.params)
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
@@ -147,6 +150,8 @@ def _param_str(value) -> str:
 
 
 def _validate_params(family: str, params: dict) -> None:
+    if family not in FAMILIES:
+        raise InvalidParameterError(f"unknown block family {family!r}")
     if set(params) != set(_PARAMS[family]):
         raise InvalidParameterError(
             f"{family} params must be exactly {sorted(_PARAMS[family])}, got {sorted(params)}"
@@ -360,8 +365,7 @@ class BlockLibrary:
     n0: int = N0_DEFAULT
 
     def __post_init__(self):
-        if not is_count(self.n0):
-            raise DocumentFormatError(f"library n0 must be a positive integer, got {self.n0!r}")
+        require_n0(self.n0, "library")
         object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
         object.__setattr__(self, "_content_hash", None)
         for block_id, spec in self.blocks.items():
@@ -661,20 +665,6 @@ def block_to_doc(spec: BlockSpec) -> dict:
     return doc
 
 
-def block_from_doc(doc: dict) -> BlockSpec:
-    """The block of a JSON object, checked as ``BLOCK`` and by its family."""
-    check(BLOCK, doc, f"block {doc.get('id')}")
-    block_id, family, params = doc["id"], doc["family"], dict(doc["params"])
-    check(_PARAMS.get(family, dict), params, f"block {block_id}: malformed {family} params")
-    if family == "arithmetic":
-        params["mix"] = tuple(map(tuple, params["mix"]))
-    try:
-        profile = profile_from_doc(doc["profile"]) if "profile" in doc else None
-        return BlockSpec(block_id, family, params, profile)
-    except (DocumentFormatError, InvalidParameterError) as exc:
-        raise type(exc)(f"block {block_id}: {exc}") from None
-
-
 def library_to_doc(library: BlockLibrary) -> dict:
     return {
         "n0": library.n0,
@@ -684,75 +674,63 @@ def library_to_doc(library: BlockLibrary) -> dict:
 
 def library_from_doc(doc: dict) -> BlockLibrary:
     """The library of a document that fits ``LIBRARY``, with its event
-    matrix.  One pass checks every block and gathers every profile into the
-    matrix, whose counts are then checked all at once; if any check fails,
-    ``block_from_doc`` decodes the blocks one by one and raises the error of
-    the first bad block."""
-    library = _library_in_one_pass(doc["blocks"], doc["n0"])
-    if library is None:
-        library = library_from_specs([block_from_doc(b) for b in doc["blocks"]], doc["n0"])
-    return library
-
-
-_BLOCK_MISFIT = compile_shape(BLOCK)
-_PARAMS_MISFIT = {family: compile_shape(shape) for family, shape in _PARAMS.items()}
-
-
-def _library_in_one_pass(docs: list, n0) -> BlockLibrary | None:
-    """The library of block documents ``docs``, or ``None`` if a block
-    fails any check that ``block_from_doc`` and ``BlockLibrary`` make."""
-    if not is_count(n0):
-        return None
-    rows, sizes, calibrated = [], [], []
-    for index, doc in enumerate(docs):
-        if _BLOCK_MISFIT(doc) is not None:
-            return None
-        params_misfit = _PARAMS_MISFIT.get(doc["family"])
-        if params_misfit is None or params_misfit(doc["params"]) is not None:
-            return None
-        profile = doc.get("profile")
-        if profile is None:
-            rows.append(ABSENT_ROW)
-            continue
-        if profile["n0"] != n0:
-            return None
-        counts = profile["counts"]
-        rows.append(event_row(counts))
-        sizes.append(len(counts))
-        calibrated.append(index)
+    matrix.  One pass checks each block and gathers its profile's counts into
+    the matrix, and one call of ``events.count_misfit`` then holds every row
+    to the rules of a profile.  A malformed document raises the error of its
+    first bad block.  Within a block the checks run in this order: its shape,
+    its params' shape, its profile's ``n0``, its counts, its family and param
+    ranges.  The checks of the whole library come last: a duplicate id, the
+    library's ``n0``, each profile's ``n0`` against the library's."""
+    docs = doc["blocks"]
+    specs, rows, profiled = [], [], []  # profiled: the indexes of blocks with a profile
+    try:
+        for block in docs:
+            check(BLOCK, block, f"block {block.get('id')}")
+            block_id, family, params = block["id"], block["family"], dict(block["params"])
+            check(_PARAMS.get(family, dict), params, f"block {block_id}: malformed {family} params")
+            profile = block.get("profile")
+            if profile is not None:
+                require_n0(profile["n0"], f"block {block_id}: profile")
+                profiled.append(len(rows))
+                rows.append(event_row(profile["counts"]))
+                profile = _profile_of_row(rows[-1], profile["n0"])
+            else:
+                rows.append(ABSENT_ROW)
+            if family == "arithmetic":
+                params["mix"] = tuple(map(tuple, params["mix"]))
+            try:
+                specs.append(BlockSpec(block_id, family, params, profile))
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(f"block {block_id}: {exc}") from None
+    except ProxyBenchError:
+        _check_profiles(docs, _event_matrix(rows), profiled)  # an earlier bad block
+        raise
     matrix = _event_matrix(rows)
-    if not rows_are_profiles(matrix[calibrated], np.array(sizes)):
-        return None
-    # every check has passed or is made here, so the blocks and profiles are
-    # made without running their checks again
-    blocks = {}
-    for doc, row in zip(docs, matrix.tolist()):
-        block_id, family, params = doc["id"], doc["family"], dict(doc["params"])
-        if family == "arithmetic":
-            params["mix"] = tuple(map(tuple, params["mix"]))
-        try:
-            _validate_params(family, params)
-        except InvalidParameterError:
-            return None
-        spec = blocks[block_id] = object.__new__(BlockSpec)
-        vars(spec).update(
-            id=block_id,
-            family=family,
-            params=MappingProxyType(params),
-            profile=_profile_of_row(row, n0) if "profile" in doc else None,
-        )
-    if len(blocks) != len(docs):  # a duplicate id
-        return None
-    library = BlockLibrary(blocks, n0)
+    _check_profiles(docs, matrix, profiled)
+    library = library_from_specs(specs, doc["n0"])
     vars(library)["event_matrix"] = matrix  # what the cached property would compute
     return library
 
 
-def _profile_of_row(row: list, n0: int) -> EventProfile:
-    """The profile of an event-matrix row that has passed
-    ``rows_are_profiles``, made without running the checks again."""
+def _check_profiles(docs: list, matrix: np.ndarray, profiled: list[int]) -> None:
+    """Raise the error of the first profile of the block documents ``docs``,
+    at indexes ``profiled`` with event rows ``matrix[profiled]``, that
+    breaks a rule of a profile."""
+    counts = [docs[index]["profile"]["counts"] for index in profiled]
+    misfit = count_misfit(matrix[profiled], np.array([len(c) for c in counts]), profiles=True)
+    if misfit is not None:
+        index, rule = misfit
+        try:
+            raise_count_error(counts[index], matrix[profiled[index]], rule, "profile")
+        except ProxyBenchError as exc:
+            raise type(exc)(f"block {docs[profiled[index]]['id']}: {exc}") from None
+
+
+def _profile_of_row(row: tuple, n0: int) -> EventProfile:
+    """The profile of an event row, made without the checks of a profile:
+    ``library_from_doc`` holds the row to them before it returns."""
     profile = object.__new__(EventProfile)
-    counts = {event: value for event, value in zip(EVENTS, row) if value == value}  # not NaN
+    counts = {event: float(value) for event, value in zip(EVENTS, row) if value == value}  # not NaN
     vars(profile).update(counts=MappingProxyType(counts), n0=n0)
     return profile
 

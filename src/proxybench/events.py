@@ -75,8 +75,12 @@ MISS_ACCESS_PAIRS = (
 # ``EVENTS`` in order: NaN where its profile lacks an event
 _EVENT_ROW = operator.itemgetter(*EVENTS)
 ABSENT_ROW = (math.nan,) * len(EVENTS)
-_MISS_COLUMNS = [EVENT_INDEX[miss] for miss, _ in MISS_ACCESS_PAIRS]
-_ACCESS_COLUMNS = [EVENT_INDEX[access] for _, access in MISS_ACCESS_PAIRS]
+_MISS_COLUMNS = np.array([EVENT_INDEX[miss] for miss, _ in MISS_ACCESS_PAIRS], dtype=np.intp)
+_ACCESS_COLUMNS = np.array([EVENT_INDEX[access] for _, access in MISS_ACCESS_PAIRS], dtype=np.intp)
+_INSTRUCTIONS = EVENT_INDEX["instructions"]
+
+# the rules of :func:`count_misfit`
+BAD_COUNT, MISS_ABOVE_ACCESS, NO_INSTRUCTIONS = "count", "miss above access", "instructions"
 
 CATEGORIES = (
     "processor_performance",
@@ -143,36 +147,20 @@ _BOUNDED_CATEGORIES = frozenset(
 )
 
 
-def _validate_counts(counts: Mapping[str, float], *, what: str) -> dict[str, float]:
-    values = counts.values()
-    # the common case passes in C loops: known events, plain floats, a finite
-    # sum (so no NaN or infinity) and no negative; otherwise the loop finds
-    # the offending count, or passes floats whose sum overflows
-    if (
-        _EVENT_SET.issuperset(counts)
-        and {float}.issuperset(map(type, values))
-        and math.isfinite(sum(values))
-        and min(values, default=0.0) >= 0
-    ):
-        clean = counts
-    else:
-        clean = {}
-        for name, value in counts.items():
-            require_event(name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError, OverflowError):
-                raise DocumentFormatError(
-                    f"{what}: count for {name} must be a finite number, got {value!r}"
-                ) from None
-            if not math.isfinite(value) or value < 0:
-                raise DocumentFormatError(f"{what}: count for {name} must be finite and >= 0")
-            clean[name] = value
-    for miss, access in MISS_ACCESS_PAIRS:
-        if miss in clean and access in clean and clean[miss] > clean[access]:
-            raise DocumentFormatError(
-                f"{what}: {miss}={clean[miss]} exceeds {access}={clean[access]}"
-            )
+def _validate_counts(counts: Mapping[str, float], *, what: str, profile=False) -> dict[str, float]:
+    """``counts`` as floats in canonical key order, held to the rules of
+    :func:`count_misfit`.  Any key and value may come in, so each value goes
+    through ``float`` first."""
+    clean = {}
+    for name, value in counts.items():
+        try:
+            clean[name] = float(value)
+        except (TypeError, ValueError, OverflowError):
+            clean[name] = math.nan  # breaks the count rule, whose error names it
+    row = np.array([event_row(clean)])
+    misfit = count_misfit(row, len(clean), profile)
+    if misfit is not None:
+        raise_count_error(counts, row[0], misfit[1], what)
     # canonical key order so downstream serialization is stable
     return {name: clean[name] for name in EVENTS if name in clean}
 
@@ -186,25 +174,65 @@ def event_row(counts: Mapping[str, float]) -> tuple:
         return tuple(counts.get(event, math.nan) for event in EVENTS)
 
 
-def rows_are_profiles(rows: np.ndarray, sizes: np.ndarray) -> bool:
-    """Whether each of ``rows``, the :func:`event_row` of counts holding
-    ``sizes`` finite numbers, passes the checks of :class:`EventProfile`:
-    only known events, every count finite and >= 0, no miss count above its
-    access count, and instructions > 0."""
-    # every known event of finite count fills one cell that is not NaN; the
-    # comparisons are False on NaN, so an absent event passes them
-    return bool(
-        (np.count_nonzero(~np.isnan(rows), axis=1) == sizes).all()
-        and not np.isinf(rows).any()
-        and not (rows < 0).any()
-        and not (rows[:, _MISS_COLUMNS] > rows[:, _ACCESS_COLUMNS]).any()
-        and (rows[:, EVENT_INDEX["instructions"]] > 0).all()
-    )
+def _counted(rows: np.ndarray) -> np.ndarray:
+    # NaN, an absent event, fails both comparisons
+    return (rows >= 0.0) & (rows < math.inf)
+
+
+def count_misfit(rows: np.ndarray, sizes, profiles: bool = False) -> tuple[int, str] | None:
+    """The first of the event rows ``rows`` that breaks a rule, and the first
+    rule it breaks, or ``None``.  Row ``i`` is the :func:`event_row` of counts
+    of ``sizes[i]`` keys.  The rules, in order:
+
+    * ``BAD_COUNT``: every key is an event, and every count is finite and
+      >= 0.  A key that is no event has no cell, and a count that is not
+      finite fails the test, so fewer than ``sizes[i]`` cells pass it.
+    * ``MISS_ABOVE_ACCESS``: no miss count exceeds its access count.  A
+      comparison with an absent event, NaN, is false.
+    * ``NO_INSTRUCTIONS``, of ``profiles`` only: instructions > 0.
+    """
+    bad_count = _counted(rows).sum(1) != sizes
+    miss_above_access = (rows.take(_MISS_COLUMNS, 1) > rows.take(_ACCESS_COLUMNS, 1)).any(1)
+    broken = bad_count | miss_above_access
+    if profiles:
+        broken |= ~(rows[:, _INSTRUCTIONS] > 0.0)
+    if not broken.any():
+        return None
+    index = int(broken.argmax())
+    if bad_count[index]:
+        return index, BAD_COUNT
+    return index, MISS_ABOVE_ACCESS if miss_above_access[index] else NO_INSTRUCTIONS
+
+
+def raise_count_error(counts: Mapping[str, float], row: np.ndarray, rule: str, what: str):
+    """Raise the error of ``counts``, whose event row ``row`` breaks
+    ``rule``.  It names the first key of ``counts``, or the first of
+    ``MISS_ACCESS_PAIRS``, that breaks the rule."""
+    if rule == BAD_COUNT:
+        counted = _counted(row)
+        name = next(name for name in counts if not counted[EVENT_INDEX[require_event(name)]])
+        try:
+            float(counts[name])
+        except (TypeError, ValueError, OverflowError):
+            raise DocumentFormatError(
+                f"{what}: count for {name} must be a finite number, got {counts[name]!r}"
+            ) from None
+        raise DocumentFormatError(f"{what}: count for {name} must be finite and >= 0")
+    if rule == MISS_ABOVE_ACCESS:
+        value = dict(zip(EVENTS, row.tolist()))
+        miss, access = next(pair for pair in MISS_ACCESS_PAIRS if value[pair[0]] > value[pair[1]])
+        raise DocumentFormatError(f"{what}: {miss}={value[miss]} exceeds {access}={value[access]}")
+    raise DocumentFormatError(f"{what} must have instructions > 0")
 
 
 def is_count(value) -> bool:
     """Whether ``value`` is an int >= 1; a bool is not a count."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def require_n0(n0, what: str) -> None:
+    if not is_count(n0):
+        raise DocumentFormatError(f"{what} n0 must be a positive integer, got {n0!r}")
 
 
 @dataclass(frozen=True)
@@ -219,11 +247,8 @@ class EventProfile:
     n0: int = N0_DEFAULT
 
     def __post_init__(self):
-        if not is_count(self.n0):
-            raise DocumentFormatError(f"profile n0 must be a positive integer, got {self.n0!r}")
-        clean = _validate_counts(self.counts, what="profile")
-        if clean.get("instructions", 0.0) <= 0:
-            raise DocumentFormatError("profile must have instructions > 0")
+        require_n0(self.n0, "profile")
+        clean = _validate_counts(self.counts, what="profile", profile=True)
         object.__setattr__(self, "counts", MappingProxyType(clean))
 
     def __reduce__(self):
@@ -378,19 +403,6 @@ def predict_events(program: ProxyProgram, library) -> MeasurementResult:
     """
     predicted = ProfileRows(program.block_ids(), library).predict(program)
     return MeasurementResult(predicted, provenance="simulated")
-
-
-def check_prediction(counts: dict[str, float]) -> None:
-    """Raise the error a :class:`MeasurementResult` of ``counts``, from
-    :meth:`ProfileRows.predict`, would raise; noise applied afterwards can no
-    longer hide a prediction that fails its checks."""
-    # the counts are nonnegative floats, so a finite sum means finite counts
-    if not math.isfinite(sum(counts.values())) or any(
-        counts[miss] > counts[access]
-        for miss, access in MISS_ACCESS_PAIRS
-        if miss in counts and access in counts
-    ):
-        _validate_counts(counts, what="measurement")
 
 
 def compute_metric(counts: MeasurementResult, definition: MetricDefinition) -> float:

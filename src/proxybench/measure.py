@@ -38,7 +38,6 @@ from .events import (
     MeasurementResult,
     ProfileRows,
     ProxyProgram,
-    check_prediction,
     predict_events,
 )
 
@@ -145,7 +144,7 @@ def simulate(
 
 def _perturbed(predicted: dict[str, float], noise: NoiseModel, nonce: int) -> MeasurementResult:
     """The measurement of ``predicted`` counts under multiplicative noise."""
-    check_prediction(predicted)
+    MeasurementResult(predicted)  # raises what noise and its clamp could hide
     rng = np.random.default_rng([noise.seed & 0xFFFFFFFFFFFFFFFF, nonce & 0xFFFFFFFFFFFFFFFF])
     # one factor per present event in canonical order; a single sized draw
     # yields the same stream as one scalar draw per event

@@ -1,7 +1,8 @@
-"""The summary of ``scripts/bench_pairs.py``, on hand-made pair records; no
-benchmark runs here."""
+"""The summary and the source line counts of ``scripts/bench_pairs.py``, on
+hand-made pair records and temporary trees; no benchmark runs here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,33 @@ def test_runs_name_a_workload_and_its_seeds():
     }
     with pytest.raises(SystemExit):
         bench_pairs.parse_runs(["align_wide"])
+
+
+def write_tree(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+
+
+def test_each_side_records_its_source_line_count(tmp_path, monkeypatch):
+    change = tmp_path / "change"
+    write_tree(change, {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/sub/b.py": "z = 3\n",
+                        "src/pkg/data.txt": "not python\n", "tests/test_a.py": "t = 1\n"})
+    parent_files = {"src/pkg/a.py": "x = 1\ny = 2\nw = 4\nv = 5\n"}
+
+    def unpack(rev, directory):
+        write_tree(directory, parent_files)
+        return "abc1234"
+
+    def bench(tree, workload, seed, seconds, trace):
+        metrics = {"op_p75_ms": {"value": 1.0}}
+        return {"result": {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics},
+                "extra": {"op_p50_ms": 1.0}, "host_start": {}}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    monkeypatch.setattr(bench_pairs, "unpack", unpack)
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    assert bench_pairs.main(["--parent", "HEAD", "--slug", "t", "--run", "w:1"]) == 0
+    report = json.loads((change / "BENCH_t.json").read_text())
+    assert report["src_lines"] == {"parent": 4, "change": 3}
+    assert bench_pairs.src_lines(change) == 3

@@ -322,6 +322,29 @@ class TestLibraryDocuments:
         with pytest.raises(DocumentFormatError):
             load_library(json.dumps(doc))
 
+    @pytest.mark.parametrize("later, at", [
+        ("shape", 10), ("params shape", 10), ("profile n0", 10), ("range", 10), ("range", 6),
+    ])
+    def test_bad_count_named_before_a_later_check(self, library, later, at):
+        # block 6's bad count comes first in the file, and a block's counts
+        # are checked before its family and param ranges
+        doc = json.loads(dump_library(library))
+        doc["blocks"][6]["profile"]["counts"]["cycles"] = -1.0
+        block = doc["blocks"][at]
+        if later == "shape":
+            block["extra"] = 1
+        elif later == "params shape":
+            block["params"]["stride"] = "8"
+        elif later == "profile n0":
+            block["profile"]["n0"] = 0
+        else:
+            block["params"]["stride"] = 0
+        with pytest.raises(DocumentFormatError) as error:
+            load_library(json.dumps(doc))
+        assert str(error.value) == (
+            f"block {doc['blocks'][6]['id']}: profile: count for cycles must be finite and >= 0"
+        )
+
     def test_subset_preserves_order_and_n0(self, library):
         keep = library.ids()[5:10]
         sub = library.subset(keep)

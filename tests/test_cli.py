@@ -60,6 +60,21 @@ class TestLibraryCommand:
         assert doc["blocks"][0]["id"] in err
         assert "l1d_misses" in err
 
+    def test_unknown_event_names_its_block(self, library_path, tmp_path):
+        doc = json.loads(library_path.read_text())
+        block = next(block for block in doc["blocks"] if block["id"] == "fn_stride1024")
+        block["profile"]["counts"]["widgets"] = 1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "proxybench.cli", "library", "validate", str(bad)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "error: block fn_stride1024: unknown event name: 'widgets'\n"
+
     def test_no_fp_variants_flag(self, tmp_path):
         path = tmp_path / "plain.json"
         assert main(["library", "init-default", str(path), "--no-fp-variants"]) == 0

@@ -21,7 +21,6 @@ from proxybench.blocks import BlockLibrary, make_arith_block
 from proxybench.errors import (
     DocumentFormatError,
     IncompleteProfileError,
-    ProxyBenchError,
     UndefinedMetricError,
     UnknownEventError,
     UnresolvedBlockError,
@@ -29,6 +28,7 @@ from proxybench.errors import (
 from proxybench.events import (
     MISS_ACCESS_PAIRS,
     _validate_counts,
+    count_misfit,
     dump_profile,
     dump_program,
     dump_targets,
@@ -36,7 +36,7 @@ from proxybench.events import (
     load_profile,
     load_program,
     load_targets,
-    rows_are_profiles,
+    raise_count_error,
 )
 
 N0 = 10_000_000
@@ -332,21 +332,40 @@ class TestBulkCountCheck:
 class TestProfileRows:
     @settings(max_examples=400, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(st.dictionaries(
+    @given(st.lists(st.dictionaries(
         COUNT_NAMES,
         st.one_of(st.floats(min_value=0.0, max_value=1e300),
                   st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0])),
         max_size=len(EVENTS) + 2,
-    ))
-    def test_rows_pass_as_the_profile_checks(self, counts):
-        try:
-            profile = EventProfile(counts)
-        except ProxyBenchError:
-            profile = None
-        row = np.array([event_row(counts)])
-        assert rows_are_profiles(row, np.array([len(counts)])) == (profile is not None)
-        if profile is not None:
-            assert np.array_equal(row[0], event_row(profile.counts), equal_nan=True)
+    ), max_size=4))
+    def test_rows_pass_as_the_profile_checks(self, maps):
+        """The count maps stacked into one matrix: the validator names the
+        first map the per-value checks reject, with their error."""
+        rows = np.array([event_row(counts) for counts in maps]).reshape(len(maps), len(EVENTS))
+        sizes = np.array([len(counts) for counts in maps])
+        for profiles, check in ((False, reference_counts), (True, profile_counts)):
+            outcomes = [outcome(check, counts) for counts in maps]
+            rejected = [index for index, result in enumerate(outcomes) if type(result) is tuple]
+            misfit = count_misfit(rows, sizes, profiles)
+            assert (misfit is None) == (not rejected)
+            if rejected:
+                index, rule = misfit
+                assert index == rejected[0]
+                assert outcome(
+                    lambda counts, what: raise_count_error(counts, rows[index], rule, what),
+                    maps[index],
+                ) == outcomes[index]
+        for counts, row in zip(maps, rows):
+            if type(outcome(profile_counts, counts)) is not tuple:
+                assert np.array_equal(row, event_row(EventProfile(counts).counts), equal_nan=True)
+
+
+def profile_counts(counts, *, what):
+    """:func:`reference_counts` with the profile's instructions check."""
+    clean = reference_counts(counts, what=what)
+    if clean.get("instructions", 0.0) <= 0:
+        raise DocumentFormatError(f"{what} must have instructions > 0")
+    return clean
 
 
 class TestDocuments:

@@ -1,9 +1,11 @@
 """The one-pass library decode against the per-block reference.
 
 ``load_library`` checks every block and gathers every profile into the event
-matrix in one pass, and falls back to ``block_from_doc`` when any check
-fails.  Whatever the document, it must raise the reference's exception, or
-return the reference's library with the reference's event matrix.
+matrix in one pass, and raises the error of the first bad block.  The
+reference decodes each block on its own through ``EventProfile`` and
+``BlockSpec``.  Whatever the document, ``load_library`` must raise the
+reference's exception, or return the reference's library with the
+reference's event matrix.
 """
 
 import json
@@ -13,10 +15,25 @@ import pytest
 from hypothesis import given, settings
 
 from proxybench import default_library, dump_library, load_library
-from proxybench.blocks import LIBRARY, block_from_doc, library_from_specs
-from proxybench.errors import DocumentFormatError
+from proxybench.blocks import _PARAMS, BLOCK, LIBRARY, BlockSpec, library_from_specs
+from proxybench.errors import DocumentFormatError, InvalidParameterError, UnknownEventError
+from proxybench.events import profile_from_doc
 from proxybench.jsonutil import check
 from tests.test_cli_fuzz import SETTINGS, mutated, mutation
+
+
+def block_from_doc(doc: dict) -> BlockSpec:
+    """The block of a JSON object, checked as ``BLOCK`` and by its family."""
+    check(BLOCK, doc, f"block {doc.get('id')}")
+    block_id, family, params = doc["id"], doc["family"], dict(doc["params"])
+    check(_PARAMS.get(family, dict), params, f"block {block_id}: malformed {family} params")
+    if family == "arithmetic":
+        params["mix"] = tuple(map(tuple, params["mix"]))
+    try:
+        profile = profile_from_doc(doc["profile"]) if "profile" in doc else None
+        return BlockSpec(block_id, family, params, profile)
+    except (DocumentFormatError, InvalidParameterError, UnknownEventError) as exc:
+        raise type(exc)(f"block {block_id}: {exc}") from None
 
 
 def reference(text: str):
@@ -162,7 +179,7 @@ def zero_stride(block):
 # one edit of block 11 for each check of the one-pass decode, and the
 # error the reference raises
 CHECKS = {
-    add_unknown_event: "unknown event name: 'widgets'",  # as block by block, unnamed
+    add_unknown_event: "block fn_stride1024: unknown event name: 'widgets'",
     zero_instructions: "block fn_stride1024: profile must have instructions > 0",
     drop_instructions: "block fn_stride1024: profile must have instructions > 0",
     zero_stride: "block fn_stride1024: function stride must be >= 1, got 0",

@@ -290,3 +290,26 @@ class TestSimulatedMachineModel:
             simulate(program, library, noise)
         with pytest.raises(DocumentFormatError, match="l1d_misses=.* exceeds l1d_accesses"):
             SimulatedMachine(library, noise).measure(program)
+
+    @pytest.mark.parametrize("noise", [NoiseModel.uniform(0.05, seed=1), NoiseModel.gaussian(0.1)],
+                             ids=lambda noise: noise.kind)
+    @pytest.mark.parametrize("measure", ["simulate", "machine"])
+    def test_overflowing_prediction_checked_before_noise(self, monkeypatch, noise, measure):
+        # 1e300 cycles per execution, 1e10 times: the predicted cycles
+        # overflow to infinity, and no noise is drawn for such a prediction
+        library = BlockLibrary({
+            "a": make_arith_block((("add", 1),), block_id="a").with_profile(
+                EventProfile({"instructions": 1.0, "cycles": 1e300}, 1)),
+        }, 1)
+        program = ProxyProgram((("a", 10**10),))
+
+        def no_draw(*args):
+            raise AssertionError("noise drawn for a prediction that fails its checks")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(DocumentFormatError) as error:
+            if measure == "simulate":
+                simulate(program, library, noise)
+            else:
+                SimulatedMachine(library, noise).measure(program)
+        assert str(error.value) == "measurement: count for cycles must be finite and >= 0"
