@@ -378,19 +378,41 @@ class ProfileRows:
         self._counts = np.where(absent, 0.0, counts)[:, present]
         self._n0 = float(library.n0)
 
-    def predict(self, program: ProxyProgram) -> dict[str, float]:
+    def size(self) -> int:
+        """The number of distinct blocks, in the order of the model's rows."""
+        return len(self._counts)
+
+    def predict(self, program: ProxyProgram, interaction=None) -> dict[str, float]:
         """Predicted counts of ``program``, whose block ids must be this
-        model's sequence, per present event in canonical order."""
+        model's sequence, per present event in canonical order.
+
+        An ``interaction`` matrix over the distinct blocks scales block j's
+        executions by max(0, 1 + sum_k M[j][k] * share_k), where share_k is
+        block k's part of the predicted instructions."""
         entries = program.merged().entries if self._merge else program.entries
         executions = np.array([n for _, n in entries], dtype=float)
-        # an overflow to infinity fails the finiteness check of the counts
-        with np.errstate(over="ignore"):
-            products = self._counts * executions[:, None]
         n0 = self._n0
-        return {
-            event: math.fsum(column) / n0
-            for event, column in zip(self.events, products.T.tolist())
-        }
+        # an overflow to infinity, or an infinite interaction factor times a
+        # zero count, fails the finiteness check of the counts; a NaN factor
+        # counts as 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if interaction:  # None, or () for a program of no blocks
+                instructions = self._counts[:, self.events.index("instructions")] * executions / n0
+                shares = instructions / (sum(instructions.tolist()) or 1.0)
+                executions *= np.fmax(1.0 + np.asarray(interaction) @ shares, 0.0)
+            products = self._counts * executions[:, None]
+        columns = products.T.tolist()
+        try:
+            return {event: math.fsum(column) / n0 for event, column in zip(self.events, columns)}
+        except OverflowError:
+            # finite nonnegative terms whose sum is past the float maximum
+            predicted = {}
+            for event, column in zip(self.events, columns):
+                try:
+                    predicted[event] = math.fsum(column) / n0
+                except OverflowError:
+                    predicted[event] = math.inf
+            return predicted
 
 
 def predict_events(program: ProxyProgram, library) -> MeasurementResult:

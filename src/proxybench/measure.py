@@ -2,8 +2,10 @@
 
 The alignment loop only needs something that can run a program and report
 event counts.  ``SimulatedMachine`` stands in for hardware at desk scale:
-it perturbs the linear prediction with a configurable noise model, mirroring
-the few-percent run-to-run variation real counters show.  Externally
+it predicts counts with the linear count model and perturbs them with a
+configurable noise model, either independent per-event factors, mirroring
+the few-percent run-to-run variation real counters show, or a systematic
+interaction between the program's blocks.  Externally
 collected counter data enters through the ``.counts`` text format instead.
 
 Counts format: one ``event=value`` pair per line, ``#`` comment lines,
@@ -26,13 +28,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import (
-    CountsParseError,
-    DocumentFormatError,
-    DuplicateEventError,
-    IncompleteProfileError,
-)
-from .events import (
+from .errors import CountsParseError, DocumentFormatError, DuplicateEventError
+# predict_events is not called here: the benchmark's tracer wraps measure.predict_events
+from .events import (  # noqa: F401
     EVENTS,
     MISS_ACCESS_PAIRS,
     MeasurementResult,
@@ -102,61 +100,14 @@ def simulate(
     noise: NoiseModel = NoiseModel.none(),
     nonce: int = 0,
 ) -> MeasurementResult:
-    """Measure ``program`` on the simulated machine.
+    """Measure ``program`` on a :class:`SimulatedMachine` of ``library``.
 
     Pure function of its arguments: the multiplicative kinds draw one factor
     per event from a generator derived from ``(seed, nonce)``, so the same
     call repeated gives the same result and distinct nonces give independent
     draws.
     """
-    if noise.kind == "interaction":
-        merged = program.merged()
-        n0 = float(library.n0)
-        contributions = []
-        for block_id, executions in merged.entries:
-            profile = library.require(block_id).profile
-            if profile is None:
-                raise IncompleteProfileError(f"block {block_id} has no calibrated profile")
-            contributions.append(
-                {e: c * executions / n0 for e, c in profile.counts.items()}
-            )
-        m = len(contributions)
-        if len(noise.matrix) != m:
-            raise DocumentFormatError(
-                f"interaction matrix is {len(noise.matrix)}x{len(noise.matrix)}, "
-                f"program has {m} blocks"
-            )
-        instr = [c.get("instructions", 0.0) for c in contributions]
-        total = sum(instr) or 1.0
-        shares = [v / total for v in instr]
-        counts: dict[str, float] = {}
-        for j, contribution in enumerate(contributions):
-            factor = 1.0 + sum(noise.matrix[j][k] * shares[k] for k in range(m))
-            for event, value in contribution.items():
-                counts[event] = counts.get(event, 0.0) + max(0.0, factor) * value
-        return MeasurementResult(_clamp_miss_pairs(counts), provenance="simulated")
-
-    if noise.kind == "none":
-        return predict_events(program, library)
-    predicted = ProfileRows(program.block_ids(), library).predict(program)
-    return _perturbed(predicted, noise, nonce)
-
-
-def _perturbed(predicted: dict[str, float], noise: NoiseModel, nonce: int) -> MeasurementResult:
-    """The measurement of ``predicted`` counts under multiplicative noise."""
-    MeasurementResult(predicted)  # raises what noise and its clamp could hide
-    rng = np.random.default_rng([noise.seed & 0xFFFFFFFFFFFFFFFF, nonce & 0xFFFFFFFFFFFFFFFF])
-    # one factor per present event in canonical order; a single sized draw
-    # yields the same stream as one scalar draw per event
-    if noise.kind == "multiplicative_uniform":
-        deltas = rng.uniform(-noise.epsilon, noise.epsilon, size=len(predicted))
-    else:
-        deltas = rng.normal(0.0, noise.sigma, size=len(predicted))
-    counts = {
-        event: value * max(0.0, 1.0 + delta)
-        for (event, value), delta in zip(predicted.items(), deltas.tolist())
-    }
-    return MeasurementResult(_clamp_miss_pairs(counts), provenance="simulated")
+    return SimulatedMachine(library, noise).measure(program, nonce)
 
 
 class Measurer(Protocol):
@@ -169,11 +120,11 @@ class Measurer(Protocol):
 
 
 class SimulatedMachine:
-    """Measurer backed by :func:`simulate`.
+    """Measurer that predicts a program's counts with the linear count model
+    (``events.ProfileRows``) and applies its noise model to them.
 
     It keeps the count model of the last program's block sequence, which
-    every round of an ``align`` shares; results are those of
-    :func:`simulate` all the same.
+    every round of an ``align`` shares.
     """
 
     events = EVENTS
@@ -184,16 +135,36 @@ class SimulatedMachine:
         self._model: ProfileRows | None = None
 
     def measure(self, program: ProxyProgram, nonce: int = 0) -> MeasurementResult:
-        if self.noise.kind == "interaction":
-            return simulate(program, self.library, self.noise, nonce)
+        noise = self.noise
         model = self._model
         block_ids = program.block_ids()
         if model is None or model.library is not self.library or model.block_ids != block_ids:
             model = self._model = ProfileRows(block_ids, self.library)
+        if noise.kind == "interaction" and len(noise.matrix) != model.size():
+            raise DocumentFormatError(
+                f"interaction matrix is {len(noise.matrix)}x{len(noise.matrix)}, "
+                f"program has {model.size()} blocks"
+            )
         predicted = model.predict(program)
-        if self.noise.kind == "none":
+        if noise.kind == "none":
             return MeasurementResult(predicted, provenance="simulated")
-        return _perturbed(predicted, self.noise, nonce)
+        MeasurementResult(predicted)  # raises what noise and its clamp could hide
+        if noise.kind == "interaction":
+            counts = model.predict(program, noise.matrix)
+        else:
+            rng = np.random.default_rng(
+                [noise.seed & 0xFFFFFFFFFFFFFFFF, nonce & 0xFFFFFFFFFFFFFFFF])
+            # one factor per present event in canonical order; a single sized
+            # draw yields the same stream as one scalar draw per event
+            if noise.kind == "multiplicative_uniform":
+                deltas = rng.uniform(-noise.epsilon, noise.epsilon, size=len(predicted))
+            else:
+                deltas = rng.normal(0.0, noise.sigma, size=len(predicted))
+            counts = {
+                event: value * max(0.0, 1.0 + delta)
+                for (event, value), delta in zip(predicted.items(), deltas.tolist())
+            }
+        return MeasurementResult(_clamp_miss_pairs(counts), provenance="simulated")
 
 
 # ---------------------------------------------------------------------------

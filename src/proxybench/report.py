@@ -52,19 +52,14 @@ class ComparisonSeries:
 
     x: tuple[float, ...]
     y: tuple[float, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         x = tuple(float(v) for v in self.x)
         y = tuple(float(v) for v in self.y)
         if len(x) != len(y):
             raise DocumentFormatError("series x and y must have equal lengths")
-        labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(x)))
-        if len(labels) != len(x):
-            raise DocumentFormatError("series labels must match the pair count")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.x)

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from proxybench import (
     EVENTS,
     EventProfile,
+    MeasurementResult,
     NoiseModel,
     ProxyProgram,
     SimulatedMachine,
@@ -20,8 +23,10 @@ from proxybench.errors import (
     DocumentFormatError,
     DuplicateEventError,
     IncompleteProfileError,
+    UnresolvedBlockError,
 )
 from proxybench.events import MISS_ACCESS_PAIRS
+from proxybench.measure import NOISE_KINDS, _clamp_miss_pairs
 from tests.conftest import sample_hidden_program
 
 
@@ -109,6 +114,17 @@ class TestSimulate:
         with pytest.raises(IncompleteProfileError, match="block raw has no calibrated profile"):
             simulate(ProxyProgram((("raw", 1),)), library, noise)
 
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.none(),
+        NoiseModel.uniform(0.03),
+        NoiseModel.gaussian(0.02),
+        NoiseModel.interaction(((0.0, 0.0), (0.0, 0.0))),
+    ], ids=lambda noise: noise.kind)
+    def test_unknown_block_raises_for_every_noise_kind(self, library, noise):
+        program = ProxyProgram(((library.ids()[0], 1), ("x", 1)))
+        with pytest.raises(UnresolvedBlockError, match="program references unknown block 'x'"):
+            simulate(program, library, noise)
+
     def test_miss_never_exceeds_access_under_noise(self, library, program):
         for seed in range(200):
             noisy = simulate(program, library, NoiseModel.gaussian(0.5, seed=seed))
@@ -170,6 +186,89 @@ class TestNoiseStream:
                 measured = simulate(program, library, noise, nonce=seed)
                 assert set(measured.counts) == set(counts)
                 assert measured.counts == scalar_draw_reference(program, library, noise, seed)
+
+
+def interaction_reference(program, library, noise):
+    """The interaction model as a walk over profile dicts, the form it had
+    before it moved onto ``events.ProfileRows``; it pins the semantics."""
+    merged = program.merged()
+    n0 = float(library.n0)
+    contributions = []
+    for block_id, executions in merged.entries:
+        profile = library.require(block_id).profile
+        if profile is None:
+            raise IncompleteProfileError(f"block {block_id} has no calibrated profile")
+        contributions.append(
+            {e: c * executions / n0 for e, c in profile.counts.items()}
+        )
+    m = len(contributions)
+    if len(noise.matrix) != m:
+        raise DocumentFormatError(
+            f"interaction matrix is {len(noise.matrix)}x{len(noise.matrix)}, "
+            f"program has {m} blocks"
+        )
+    instr = [c.get("instructions", 0.0) for c in contributions]
+    total = sum(instr) or 1.0
+    shares = [v / total for v in instr]
+    counts: dict[str, float] = {}
+    for j, contribution in enumerate(contributions):
+        factor = 1.0 + sum(noise.matrix[j][k] * shares[k] for k in range(m))
+        for event, value in contribution.items():
+            counts[event] = counts.get(event, 0.0) + max(0.0, factor) * value
+    return MeasurementResult(_clamp_miss_pairs(counts), provenance="simulated")
+
+
+def interaction_cases(library, count, seed):
+    """Seeded programs, with repeated block ids and some zero executions,
+    each with a random interaction matrix over its distinct blocks."""
+    rng = np.random.default_rng(seed)
+    ids = library.ids()
+    for _ in range(count):
+        chosen = rng.choice(ids, size=int(rng.integers(1, 16)))  # with replacement
+        program = ProxyProgram(tuple(
+            (str(b), int(rng.integers(0, 200_000)) * int(rng.random() < 0.9)) for b in chosen
+        ))
+        m = len(program.merged().entries)
+        yield program, NoiseModel.interaction(rng.uniform(-0.5, 1.0, size=(m, m)).tolist())
+
+
+class TestInteractionModel:
+    def test_equals_the_profile_dict_reference(self, library):
+        machine = SimulatedMachine(library)
+        for program, noise in interaction_cases(library, 200, seed=1414):
+            machine.noise = noise
+            expected = interaction_reference(program, library, noise).counts
+            assert simulate(program, library, noise).counts == pytest.approx(expected, rel=1e-12)
+            assert machine.measure(program).counts == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("matrix, second", [
+        (((math.inf, 0.0), (0.0, 0.0)), 1000),
+        (((0.0, math.inf), (0.0, 0.0)), 0),
+        (((math.nan, 0.0), (0.0, 0.0)), 1000),
+    ], ids=["inf_factor", "inf_times_zero_share", "nan_factor"])
+    def test_non_finite_entries_as_the_reference_without_warning(self, library, matrix, second):
+        # an infinite factor is a count error, and a NaN factor counts as 0
+        program = ProxyProgram(((library.ids()[0], 1000), (library.ids()[1], second)))
+        noise = NoiseModel.interaction(matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                expected = interaction_reference(program, library, noise).counts
+            except DocumentFormatError as error:
+                with pytest.raises(DocumentFormatError, match=re.escape(str(error))):
+                    simulate(program, library, noise)
+            else:
+                assert simulate(program, library, noise).counts == pytest.approx(expected)
+
+    def test_dimension_checked_before_the_counts(self):
+        # the prediction breaks a count rule, but the matrix is the wrong size
+        library = BlockLibrary({
+            "a": make_arith_block((("add", 1),), block_id="a").with_profile(
+                EventProfile({"instructions": 10.0, "l1d_misses": 5.0}, 1000)),
+        }, 1000)
+        program = ProxyProgram((("a", 100),))
+        with pytest.raises(DocumentFormatError, match="interaction matrix is 2x2, program has 1"):
+            simulate(program, library, NoiseModel.interaction(((0.0, 0.0), (0.0, 0.0))))
 
 
 class TestCountsDocuments:
@@ -272,8 +371,11 @@ class TestSimulatedMachineModel:
         machine.library = other
         assert machine.measure(program).counts == predict_events(program, other).counts
 
-    @pytest.mark.parametrize("noise", [NoiseModel.uniform(0.05, seed=1), NoiseModel.gaussian(0.1)],
-                             ids=lambda noise: noise.kind)
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.uniform(0.05, seed=1),
+        NoiseModel.gaussian(0.1),
+        NoiseModel.interaction(((0.0, 0.0), (0.0, 0.0))),
+    ], ids=lambda noise: noise.kind)
     def test_prediction_checked_before_noise(self, noise):
         # one block counts misses without accesses, so the prediction has
         # more l1d misses than accesses; the noise's clamp must not hide it
@@ -291,25 +393,39 @@ class TestSimulatedMachineModel:
         with pytest.raises(DocumentFormatError, match="l1d_misses=.* exceeds l1d_accesses"):
             SimulatedMachine(library, noise).measure(program)
 
-    @pytest.mark.parametrize("noise", [NoiseModel.uniform(0.05, seed=1), NoiseModel.gaussian(0.1)],
-                             ids=lambda noise: noise.kind)
+    @pytest.mark.parametrize("blocks", [1, 2], ids=["huge_product", "huge_sum"])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
     @pytest.mark.parametrize("measure", ["simulate", "machine"])
-    def test_overflowing_prediction_checked_before_noise(self, monkeypatch, noise, measure):
-        # 1e300 cycles per execution, 1e10 times: the predicted cycles
-        # overflow to infinity, and no noise is drawn for such a prediction
+    def test_overflowing_prediction_checked_before_noise(self, monkeypatch, kind, measure, blocks):
+        # one block of 1e300 cycles per execution, run 1e10 times: a product
+        # overflows to infinity.  Two blocks of 1e308 cycles, run once each:
+        # finite products whose sum is past the float maximum.  Either way
+        # the prediction fails its checks, and no noise is drawn for it.
+        cycles, executions = (1e300, 10**10) if blocks == 1 else (1e308, 1)
         library = BlockLibrary({
-            "a": make_arith_block((("add", 1),), block_id="a").with_profile(
-                EventProfile({"instructions": 1.0, "cycles": 1e300}, 1)),
+            name: make_arith_block((("add", 1),), block_id=name).with_profile(
+                EventProfile({"instructions": 1.0, "cycles": cycles}, 1))
+            for name in "ab"[:blocks]
         }, 1)
-        program = ProxyProgram((("a", 10**10),))
+        program = ProxyProgram(tuple((name, executions) for name in "ab"[:blocks]))
+        noise = {
+            "none": NoiseModel.none(),
+            "multiplicative_uniform": NoiseModel.uniform(0.05, seed=1),
+            "multiplicative_gaussian": NoiseModel.gaussian(0.1),
+            "interaction": NoiseModel.interaction(((0.25,) * blocks,) * blocks),
+        }[kind]
 
         def no_draw(*args):
             raise AssertionError("noise drawn for a prediction that fails its checks")
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
+        message = "measurement: count for cycles must be finite and >= 0"
+        with pytest.raises(DocumentFormatError) as error:
+            predict_events(program, library)
+        assert str(error.value) == message
         with pytest.raises(DocumentFormatError) as error:
             if measure == "simulate":
                 simulate(program, library, noise)
             else:
                 SimulatedMachine(library, noise).measure(program)
-        assert str(error.value) == "measurement: count for cycles must be finite and >= 0"
+        assert str(error.value) == message
