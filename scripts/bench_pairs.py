@@ -10,9 +10,10 @@ directory.  For each workload and seed, ``bench/run.py --workload W --seed S
 side runs first, so that both sides of a pair share the host's speed phase.
 ``--traced`` adds ``--trace 1`` pairs, of which only the layer times are
 kept.  The summary goes to ``BENCH_<slug>.json`` at the repository root:
-every pair's metrics, each side's median and quartiles per metric, how many
-pairs the change won and how many were ties, the host record of the
-first run, and each side's source line count (``src_lines``, the lines of
+every pair's metrics, with the stage medians of a ``pipeline_cc`` run that
+show which stage moved; each side's median and quartiles per metric; how
+many pairs the change won and how many were ties; the host record of the
+first run; and each side's source line count (``src_lines``, the lines of
 its ``src/**/*.py`` files).  Each run takes the benchmark's own run time
 plus its set-up.
 """
@@ -35,6 +36,8 @@ SIDES = ("parent", "change")
 # metrics where the larger value is the better one; the rest are better lower
 HIGHER_IS_BETTER = frozenset(("accuracy_mean", "accuracy_worst_mean", "attempted"))
 RUN_TIMEOUT_S = 600
+# the medians of the stages of a pipeline_cc op, and its mean proxy.c size
+STAGES = ("align_cli_s", "cc_s", "proxy_wall_s", "proxy_run_s", "proxy_c_bytes")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -110,12 +113,15 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> d
 
 
 def end_to_end(detail: dict) -> dict:
-    result = detail["result"]
+    """A run's gated metrics, its median op time and the per-stage medians
+    (``STAGES``) that its workload records."""
+    result, extra = detail["result"], detail["extra"]
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
-        "op_p50_ms": detail["extra"]["op_p50_ms"],
+        "op_p50_ms": extra["op_p50_ms"],
+        **{stage: extra[stage] for stage in STAGES if stage in extra},
         **{name: entry["value"] for name, entry in result["metrics"].items()},
     }
 

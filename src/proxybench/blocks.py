@@ -55,6 +55,7 @@ a miss count past its access count.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -101,7 +102,7 @@ PAGE = 4096
 L1_CAPACITY = 32 * 1024
 TLB_REACH = 64 * PAGE
 RATE_CAP = 0.9
-FUNC_SPACING = 64  # emitted functions are 64-byte aligned
+FUNC_SPACING = 64  # function i of a pool sits 64 * i bytes past function 0
 
 _BASE_L1_MISS = 1e-4
 _BASE_TLB_MISS = 1e-5
@@ -473,7 +474,6 @@ def _c_ident(block_id: str) -> str:
 
 def _memory_parts(ident: str, params: dict):
     stride, buffer = params["stride"], params["buffer"]
-    prelude = [f"static unsigned char buf_{ident}[{buffer}u];"]
     decls = [
         f"volatile unsigned char *buf = buf_{ident};",
         "uint64_t off = 0u;",
@@ -483,32 +483,25 @@ def _memory_parts(ident: str, params: dict):
         f"off += {stride}u;",
         f"if (off >= {buffer}u) off -= {buffer}u;",
     ]
-    return prelude, decls, body, []
+    return decls, body, []
+
+
+def _call_step(stride: int) -> int:
+    """How many functions a function_access block's index advances per call."""
+    return max(1, stride // FUNC_SPACING)
 
 
 def _function_parts(ident: str, params: dict):
     stride, count = params["stride"], params["count"]
-    step = max(1, stride // FUNC_SPACING)
-    prelude = []
-    for i in range(count):
-        prelude.append(
-            f"static __attribute__((noinline, aligned({FUNC_SPACING}))) "
-            f"uint64_t fn_{ident}_{i:04d}(uint64_t x) {{ return x + {i + 1}u; }}"
-        )
-    names = [f"fn_{ident}_{i:04d}" for i in range(count)]
-    prelude.append(f"static uint64_t (*const tab_{ident}[{count}])(uint64_t) = {{")
-    for start in range(0, count, 8):
-        prelude.append("    " + ", ".join(names[start:start + 8]) + ",")
-    prelude.append("};")
     decls = [
         "uint64_t idx = 0u;",
         "uint64_t acc = sink;",
     ]
     body = [
         f"acc = tab_{ident}[idx](acc);",
-        f"idx = (idx + {step}u) % {count}u;",
+        f"idx = (idx + {_call_step(stride)}u) % {count}u;",
     ]
-    return prelude, decls, body, ["sink += acc;"]
+    return decls, body, ["sink += acc;"]
 
 
 def _branch_parts(ident: str, params: dict):
@@ -524,7 +517,7 @@ def _branch_parts(ident: str, params: dict):
         "    acc += r;",
         "}",
     ]
-    return [], decls, body, ["sink += acc;"]
+    return decls, body, ["sink += acc;"]
 
 
 def _arith_parts(ident: str, params: dict):
@@ -545,7 +538,7 @@ def _arith_parts(ident: str, params: dict):
     body = []
     for op, reps in mix:
         body.extend([f"a = a {symbol[op]} b;"] * reps)
-    return [], decls, body, tail
+    return decls, body, tail
 
 
 _FAMILY_PARTS = {
@@ -556,15 +549,48 @@ _FAMILY_PARTS = {
 }
 
 
+def _buffer(ident: str, users) -> list[str]:
+    return [f"static unsigned char buf_{ident}[{users[0].params['buffer']}u];"]
+
+
+def _pool(ident: str, users) -> list[str]:
+    """The functions that blocks ``users`` can call, and their table.  A
+    block's index visits the multiples of gcd(count, step), so with u the
+    largest power of two dividing count and every step, function i is
+    defined only where u divides i.  Aligned to ``FUNC_SPACING * u``, each
+    still sits ``FUNC_SPACING * i`` bytes past function 0.  The table keeps
+    all ``count`` slots; one never called holds 0, so a call to it crashes."""
+    count = users[0].params["count"]
+    gcd = math.gcd(count, *(_call_step(spec.params["stride"]) for spec in users))
+    unit = gcd & -gcd
+    lines, names = [], []
+    for i in range(count):
+        if i % unit:
+            names.append("0")
+            continue
+        names.append(f"fn_{ident}_{i:04d}")
+        lines.append(
+            f"static __attribute__((noinline, aligned({FUNC_SPACING * unit}))) "
+            f"uint64_t {names[-1]}(uint64_t x) {{ return x + {i + 1}u; }}"
+        )
+    lines.append(f"static uint64_t (*const tab_{ident}[{count}])(uint64_t) = {{")
+    for start in range(0, count, 8):
+        lines.append("    " + ", ".join(names[start:start + 8]) + ",")
+    lines.append("};")
+    return lines
+
+
 # the param that sizes a family's static resource; blocks of the family that
-# agree on it share one buffer or one function pool
+# agree on it share one buffer or one function pool, whose source lines
+# _RESOURCE[family](ident, blocks) gives
 _SHARED_BY = {"memory_access": "buffer", "function_access": "count"}
+_RESOURCE = {"memory_access": _buffer, "function_access": _pool}
 
 
 def _block_parts(spec: BlockSpec, owner: str | None = None):
-    """(prelude, declarations, loop body, tail) lines of ``spec``.  The
-    buffer or function pool is named after block ``owner``, by default
-    ``spec`` itself."""
+    """(declarations, loop body, tail) lines of ``spec``.  The buffer or
+    function pool is named after block ``owner``, by default ``spec``
+    itself."""
     return _FAMILY_PARTS[spec.family](_c_ident(owner or spec.id), spec.params)
 
 
@@ -576,7 +602,7 @@ def _fragment(spec: BlockSpec, parts, iterations: int, indent: str) -> list[str]
         raise InvalidParameterError(
             f"block {spec.id}: iterations must be <= 2^64 - 1, got {iterations}"
         )
-    _, decls, body, tail = parts
+    decls, body, tail = parts
     lines = [f"{indent}/* block {spec.id}: {spec.family} */", f"{indent}{{"]
     lines += [f"{indent}    {d}" for d in decls]
     lines.append(f"{indent}    for (uint64_t it = 0u; it < {int(iterations)}u; ++it) {{")
@@ -590,12 +616,11 @@ def _fragment(spec: BlockSpec, parts, iterations: int, indent: str) -> list[str]
 def render_block(spec: BlockSpec, iterations: int) -> str:
     """Standalone source text for one block (declarations plus its loop)."""
     lines = ["#include <stdint.h>", "", "static volatile uint64_t sink;", ""]
-    parts = _block_parts(spec)
-    if parts[0]:
-        lines += parts[0] + [""]
+    if spec.family in _RESOURCE:
+        lines += _RESOURCE[spec.family](_c_ident(spec.id), [spec]) + [""]
     lines.append(f"void run_{_c_ident(spec.id)}(void)")
     lines.append("{")
-    lines += _fragment(spec, parts, iterations, "    ")
+    lines += _fragment(spec, _block_parts(spec), iterations, "    ")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -616,21 +641,23 @@ def render_program(program: ProxyProgram, library: BlockLibrary) -> str:
         "",
     ]
     # each distinct block's parts are built once, and each buffer or function
-    # pool is emitted once, named after the first block in program order that
-    # uses it: a function_access prelude runs to thousands of lines
+    # pool is emitted once, for all the blocks that use it, named after the
+    # first of them in program order
     parts = {}
-    owners = {}
+    users = {}  # (family, size) -> the distinct blocks sharing it
     for block_id, _ in program.entries:
         if block_id in parts:
             continue
         spec = library.blocks[block_id]
         shared = _SHARED_BY.get(spec.family)
-        key = (spec.family, spec.params[shared]) if shared else block_id
-        owner = owners.setdefault(key, block_id)
+        owner = None
+        if shared:
+            sharing = users.setdefault((spec.family, spec.params[shared]), [])
+            sharing.append(spec)
+            owner = sharing[0].id
         parts[block_id] = _block_parts(spec, owner)
-        prelude = parts[block_id][0]
-        if prelude and owner == block_id:
-            lines += prelude + [""]
+    for sharing in users.values():
+        lines += _RESOURCE[sharing[0].family](_c_ident(sharing[0].id), sharing) + [""]
     lines += [
         "int main(void)",
         "{",

@@ -65,8 +65,12 @@ class NoiseModel:
             rows = tuple(tuple(float(v) for v in row) for row in self.matrix)
             if any(len(row) != len(rows) for row in rows):
                 raise DocumentFormatError("interaction matrix must be square")
-            if any(v < -0.5 for row in rows for v in row):
-                raise DocumentFormatError("interaction entries must be >= -0.5")
+            for r, row in enumerate(rows):
+                for c, v in enumerate(row):
+                    if not (math.isfinite(v) and v >= -0.5):
+                        raise DocumentFormatError(
+                            f"interaction entry [{r}][{c}] must be finite and >= -0.5, got {v}"
+                        )
             object.__setattr__(self, "matrix", rows)
 
     @staticmethod

@@ -95,3 +95,28 @@ def test_each_side_records_its_source_line_count(tmp_path, monkeypatch):
     report = json.loads((change / "BENCH_t.json").read_text())
     assert report["src_lines"] == {"parent": 4, "change": 3}
     assert bench_pairs.src_lines(change) == 3
+
+
+def detail(extra):
+    metrics = {"op_p75_ms": {"value": 900.0}}
+    return {"result": {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics},
+            "extra": {"op_p50_ms": 850.0, "ops": 3, "op_ms": [1.0, 2.0, 3.0], **extra}}
+
+
+def test_pipeline_stage_medians_are_kept():
+    stages = {"align_cli_s": 0.4, "cc_s": 0.1, "proxy_wall_s": 0.35, "proxy_run_s": 0.3,
+              "proxy_c_bytes": 34600.0}
+    assert bench_pairs.end_to_end(detail(stages)) == {
+        "correct": True, "attempted": 3, "failed": 0, "op_p50_ms": 850.0, "op_p75_ms": 900.0,
+        **stages,
+    }
+    # a workload without stages keeps only its metrics; other extras are dropped
+    assert sorted(bench_pairs.end_to_end(detail({}))) == [
+        "attempted", "correct", "failed", "op_p50_ms", "op_p75_ms",
+    ]
+    # the summary then shows which stage moved
+    pairs = [pair(1, bench_pairs.end_to_end(detail(stages)),
+                  bench_pairs.end_to_end(detail(dict(stages, cc_s=0.05))))]
+    summary = bench_pairs.summarize(pairs)
+    assert summary["cc_s"]["change_wins"] == 1
+    assert summary["proxy_run_s"]["ties"] == 1

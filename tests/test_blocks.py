@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import math
 import pickle
@@ -271,20 +272,6 @@ class TestRendering:
         assert text.count("static uint64_t (*const tab_") == 1
         assert text.count("static unsigned char buf_") == 1
 
-        # each function block starts from sink, adds idx + 1 per call and
-        # folds its sum back; memory blocks leave sink alone
-        sink = 0
-        for block_id, executions in program.entries:
-            if block_id not in fn_ids:
-                continue
-            params = library.blocks[block_id].params
-            step, count = max(1, params["stride"] // 64), params["count"]
-            acc, idx = sink, 0
-            for _ in range(executions):
-                acc = (acc + idx + 1) % 2**64
-                idx = (idx + step) % count
-            sink = (sink + acc) % 2**64
-
         source = tmp_path / "proxy.c"
         source.write_text(text)
         binary = tmp_path / "proxy"
@@ -293,7 +280,131 @@ class TestRendering:
             check=True, capture_output=True,
         )
         run = subprocess.run([str(binary)], check=True, capture_output=True, text=True)
-        assert f"sink={sink}\n" in run.stdout
+        assert f"sink={sink_reference(program, library)}\n" in run.stdout
+
+
+def sink_reference(program, library):
+    """The ``sink`` a proxy of memory and function blocks prints: each
+    function block starts from sink, adds idx + 1 per call and folds its sum
+    back; memory blocks leave sink alone."""
+    sink = 0
+    for block_id, executions in program.entries:
+        if library.blocks[block_id].family != "function_access":
+            continue
+        params = library.blocks[block_id].params
+        step, count = max(1, params["stride"] // 64), params["count"]
+        acc, idx = sink, 0
+        for _ in range(executions):
+            acc = (acc + idx + 1) % 2**64
+            idx = (idx + step) % count
+        sink = (sink + acc) % 2**64
+    return sink
+
+
+def call_unit(count, strides):
+    """The largest power of two dividing ``count`` and every block's step."""
+    unit = 1
+    while all(n % (2 * unit) == 0 for n in (count, *(max(1, s // 64) for s in strides))):
+        unit *= 2
+    return unit
+
+
+def visited(stride, count):
+    """The indexes the C walk ``idx = (idx + step) % count`` calls in ``count`` calls."""
+    step, idx, seen = max(1, stride // 64), 0, set()
+    for _ in range(count):
+        seen.add(idx)
+        idx = (idx + step) % count
+    return seen
+
+
+def defined_functions(text, ident):
+    return [int(i) for i in re.findall(rf"uint64_t fn_{ident}_(\d+)\(uint64_t x\)", text)]
+
+
+def build(tmp_path, text):
+    """Compile ``text`` at -O0 and run it; its stdout and the ``nm -n``
+    address of each symbol."""
+    source, binary = tmp_path / "proxy.c", tmp_path / "proxy"
+    source.write_text(text)
+    subprocess.run(["cc", "-O0", "-o", str(binary), str(source)], check=True, capture_output=True)
+    run = subprocess.run([str(binary)], check=True, capture_output=True, text=True)
+    nm = subprocess.run(["nm", "-n", str(binary)], check=True, capture_output=True, text=True)
+    symbols = {}
+    for line in nm.stdout.splitlines():
+        fields = line.split()
+        if len(fields) == 3:
+            symbols[fields[2]] = int(fields[0], 16)
+    return run.stdout, symbols
+
+
+POOL_STRIDES = (1, 63, 64, 100, 128, 192, 256, 512, 1024, 2048, 4096, 8192)
+POOL_COUNTS = (2, 3, 4, 8, 12, 16, 64, 100, 256, 512, 1024, 4096)
+DEFAULT_POOL = ("fn_stride64", "fn_stride256", "fn_stride1024", "fn_stride4096")
+needs_cc_and_nm = pytest.mark.skipif(
+    shutil.which("cc") is None or shutil.which("nm") is None, reason="no C compiler or nm"
+)
+
+
+class TestCalledFunctionPools:
+    """A pool defines only the functions its blocks can call, each where a
+    pool of all ``count`` functions puts it."""
+
+    def test_each_walk_calls_only_defined_functions(self):
+        walks = 0
+        sharing = [(s,) for s in POOL_STRIDES] + list(itertools.combinations(POOL_STRIDES, 2))
+        for count in POOL_COUNTS:
+            for strides in sharing:
+                specs = [make_function_block(s, count, f"f{s}") for s in strides]
+                program = ProxyProgram(tuple((spec.id, 1) for spec in specs))
+                text = render_program(program, library_from_specs(specs))
+                defined = set(defined_functions(text, specs[0].id))
+                unit = call_unit(count, strides)
+                assert len(defined) == count // unit
+                assert text.count(f"aligned({64 * unit})))") == count // unit
+                for stride in strides:
+                    assert visited(stride, count) <= defined
+                    walks += 1
+                # every slot stays, and one never called holds 0
+                table = text.split(f"tab_{specs[0].id}[{count}])(uint64_t) = {{\n")[1]
+                slots = table.split("};")[0].replace(",", " ").split()
+                assert slots == [
+                    f"fn_{specs[0].id}_{i:04d}" if i in defined else "0" for i in range(count)
+                ]
+        assert walks == 1728
+
+    @needs_cc_and_nm
+    @pytest.mark.parametrize("ids", [
+        ids for k in range(1, 5) for ids in itertools.combinations(DEFAULT_POOL, k)
+    ], ids="+".join)
+    def test_program_calls_the_same_addresses(self, tmp_path, library, ids):
+        program = ProxyProgram(tuple((b, 1000 + 37 * i) for i, b in enumerate(ids)))
+        text = render_program(program, library)
+        stdout, symbols = build(tmp_path, text)
+        assert f"sink={sink_reference(program, library)}\n" in stdout
+        unit = call_unit(512, [library.blocks[b].params["stride"] for b in ids])
+        self.check_layout(text, symbols, ids[0], 512 // unit)
+
+    @needs_cc_and_nm
+    @pytest.mark.parametrize("block_id", DEFAULT_POOL)
+    def test_block_calls_the_same_addresses(self, tmp_path, library, block_id):
+        driver = ("#include <stdio.h>\nint main(void)\n{\n"
+                  f"    run_{block_id}();\n"
+                  '    printf("sink=%llu\\n", (unsigned long long)sink);\n'
+                  "    return 0;\n}\n")
+        text = render_block(library.blocks[block_id], 1000)
+        stdout, symbols = build(tmp_path, text + driver)
+        program = ProxyProgram(((block_id, 1000),))
+        assert f"sink={sink_reference(program, library)}\n" in stdout
+        unit = call_unit(512, [library.blocks[block_id].params["stride"]])
+        self.check_layout(text, symbols, block_id, 512 // unit)
+
+    @staticmethod
+    def check_layout(text, symbols, ident, expected):
+        defined = defined_functions(text, ident)
+        assert len(defined) == expected
+        base = symbols[f"fn_{ident}_0000"]
+        assert [symbols[f"fn_{ident}_{i:04d}"] - base for i in defined] == [64 * i for i in defined]
 
 
 class TestLibraryDocuments:

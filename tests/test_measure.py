@@ -1,6 +1,5 @@
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -241,24 +240,19 @@ class TestInteractionModel:
             assert simulate(program, library, noise).counts == pytest.approx(expected, rel=1e-12)
             assert machine.measure(program).counts == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("matrix, second", [
-        (((math.inf, 0.0), (0.0, 0.0)), 1000),
-        (((0.0, math.inf), (0.0, 0.0)), 0),
-        (((math.nan, 0.0), (0.0, 0.0)), 1000),
-    ], ids=["inf_factor", "inf_times_zero_share", "nan_factor"])
-    def test_non_finite_entries_as_the_reference_without_warning(self, library, matrix, second):
-        # an infinite factor is a count error, and a NaN factor counts as 0
-        program = ProxyProgram(((library.ids()[0], 1000), (library.ids()[1], second)))
-        noise = NoiseModel.interaction(matrix)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                expected = interaction_reference(program, library, noise).counts
-            except DocumentFormatError as error:
-                with pytest.raises(DocumentFormatError, match=re.escape(str(error))):
-                    simulate(program, library, noise)
-            else:
-                assert simulate(program, library, noise).counts == pytest.approx(expected)
+    @pytest.mark.parametrize("matrix, entry", [
+        (((math.inf, 0.0), (0.0, 0.0)), "[0][0]"),
+        (((0.0, math.inf), (0.0, 0.0)), "[0][1]"),
+        (((math.nan, 0.0), (0.0, 0.0)), "[0][0]"),
+        (((0.0, 0.0), (0.0, -math.inf)), "[1][1]"),
+        (((0.0, 0.0), (-0.6, math.nan)), "[1][0]"),
+    ], ids=["inf", "inf_off_diagonal", "nan", "minus_inf", "first_bad_entry"])
+    def test_entries_must_be_finite_naming_row_and_column(self, matrix, entry):
+        # a NaN entry would zero its block's counts and an infinite one would
+        # overflow them, or zero them where its column's share is 0
+        with pytest.raises(DocumentFormatError,
+                           match=re.escape(f"interaction entry {entry} must be finite and >= -0.5")):
+            NoiseModel.interaction(matrix)
 
     def test_dimension_checked_before_the_counts(self):
         # the prediction breaks a count rule, but the matrix is the wrong size
