@@ -12,10 +12,12 @@ side runs first, so that both sides of a pair share the host's speed phase.
 kept.  The summary goes to ``BENCH_<slug>.json`` at the repository root:
 every pair's metrics, with the stage medians of a ``pipeline_cc`` run that
 show which stage moved; each side's median and quartiles per metric; how
-many pairs the change won and how many were ties; the host record of the
-first run; and each side's source line count (``src_lines``, the lines of
-its ``src/**/*.py`` files).  Each run takes the benchmark's own run time
-plus its set-up.
+many pairs the change won and how many were ties; a verdict on each
+end-to-end metric of ``BENCHMARK.json`` (see ``verdict``); the host record
+of the first run; the environment settings that change what a run measures
+(``ENVIRONMENT``, null where unset); and each side's source line count
+(``src_lines``, the lines of its ``src/**/*.py`` files).  Each run takes the
+benchmark's own run time plus its set-up.
 """
 
 from __future__ import annotations
@@ -32,12 +34,18 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"  # read for each end-to-end metric's better and bound
 SIDES = ("parent", "change")
 # metrics where the larger value is the better one; the rest are better lower
 HIGHER_IS_BETTER = frozenset(("accuracy_mean", "accuracy_worst_mean", "attempted"))
 RUN_TIMEOUT_S = 600
 # the medians of the stages of a pipeline_cc op, and its mean proxy.c size
 STAGES = ("align_cli_s", "cc_s", "proxy_wall_s", "proxy_run_s", "proxy_c_bytes")
+# settings the benchmark's processes inherit that change what pipeline_cc
+# measures: with the first set, each fresh align process compiles proxybench
+# from source; the other two size the BLAS thread pool
+ENVIRONMENT = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+GAIN_SHARE = 0.9  # the share of all pairs the change must win to claim a gain
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -84,6 +92,44 @@ def summarize(pairs: list[dict]) -> dict[str, dict]:
     return summary
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The verdict on one end-to-end metric over paired runs, ``better``
+    being "lower" or "higher" and ``bound`` the share of the parent's median
+    by which the change may read worse:
+
+    * "gain": the change reads better in at least ``GAIN_SHARE`` of the
+      pairs, ties counting for neither, and its median is better by more than
+      the distance between the parent's quartiles;
+    * "regression": its median is worse by more than the bound;
+    * "unresolved": the parent's quartiles lie further apart than the bound,
+      and not every change run reads better than every parent run;
+    * "no regression": every other case."""
+    sign = 1 if better == "higher" else -1
+    base = quartiles(parent)
+    gap = sign * (quartiles(change)["median"] - base["median"])
+    spread = base["q3"] - base["q1"]
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    limit = bound * abs(base["median"])
+    if wins >= GAIN_SHARE * len(parent) and gap > spread:
+        return "gain"
+    if -gap > limit:
+        return "regression"
+    if spread > limit and not min(sign * c for c in change) > max(sign * p for p in parent):
+        return "unresolved"
+    return "no regression"
+
+
+def verdicts(pairs: list[dict], gated: list[dict]) -> dict[str, str]:
+    """The ``verdict`` on each metric of ``gated``, the ``end_to_end`` list of
+    ``BENCHMARK.json``, that the pairs record."""
+    return {
+        metric["name"]: verdict([p["parent"][metric["name"]] for p in pairs],
+                                [p["change"][metric["name"]] for p in pairs],
+                                metric["better"], metric["bound"])
+        for metric in gated if metric["name"] in pairs[0]["parent"]
+    }
+
+
 def unpack(rev: str, directory: Path) -> str:
     """Write the tree of ``rev`` into ``directory``; returns its short hash."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
@@ -99,12 +145,16 @@ def src_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/**/*.py"))
 
 
+def child_env() -> dict:
+    """The environment each benchmark run gets: this one, without ``PYTHONPATH``."""
+    return {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run in ``tree``; returns the full record it wrote."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
+    done = subprocess.run(argv, cwd=tree, env=child_env(), capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S + 4 * seconds)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(argv[1:])} in {tree} exited "
@@ -168,6 +218,9 @@ def main(argv=None) -> int:
                       "'first' says which ran first",
         "workloads": {},
     }
+    env = child_env()
+    report["environment"] = {name: env.get(name) for name in ENVIRONMENT}
+    gated = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
     hosts = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
         report["parent_commit"] = unpack(args.parent, Path(parent))
@@ -177,6 +230,7 @@ def main(argv=None) -> int:
             pairs = run_pairs(trees, workload, seeds, args.seconds, 0, hosts)
             report["workloads"][workload] = {
                 "pairs": pairs, "seeds": seeds, "summary": summarize(pairs),
+                "verdicts": verdicts(pairs, gated),
             }
         for workload, seeds in traced.items():
             pairs = run_pairs(trees, workload, seeds, args.seconds, 1, hosts)

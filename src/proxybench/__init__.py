@@ -77,7 +77,6 @@ from .solver import (
     assemble_incremental_system,
     assemble_initial_system,
     counts_from_solution,
-    dump_system,
     nnls,
     select_blocks,
     unreachable_rows,

@@ -30,7 +30,7 @@ from .events import (
     program_to_doc,
 )
 from .jsonutil import codec
-from .measure import Measurer
+from .measure import Measurer, SimulatedMachine
 from .report import accuracy
 from .solver import (
     MetricRows,
@@ -127,8 +127,6 @@ def align(
     if not targets.targets:
         raise AlignmentError("targets name no metric; give at least one")
     if measurer is None:
-        from .measure import SimulatedMachine
-
         measurer = SimulatedMachine(library)
     definitions = targets.definitions()
     records: list[RoundRecord] = []

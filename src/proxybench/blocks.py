@@ -472,10 +472,10 @@ def _c_ident(block_id: str) -> str:
     return ident
 
 
-def _memory_parts(ident: str, params: dict):
+def _memory_parts(params: dict):
     stride, buffer = params["stride"], params["buffer"]
     decls = [
-        f"volatile unsigned char *buf = buf_{ident};",
+        f"volatile unsigned char *buf = buf_{buffer};",
         "uint64_t off = 0u;",
     ]
     body = [
@@ -491,20 +491,20 @@ def _call_step(stride: int) -> int:
     return max(1, stride // FUNC_SPACING)
 
 
-def _function_parts(ident: str, params: dict):
+def _function_parts(params: dict):
     stride, count = params["stride"], params["count"]
     decls = [
         "uint64_t idx = 0u;",
         "uint64_t acc = sink;",
     ]
     body = [
-        f"acc = tab_{ident}[idx](acc);",
+        f"acc = tab_{count}[idx](acc);",
         f"idx = (idx + {_call_step(stride)}u) % {count}u;",
     ]
     return decls, body, ["sink += acc;"]
 
 
-def _branch_parts(ident: str, params: dict):
+def _branch_parts(params: dict):
     threshold = params["threshold"]
     decls = [
         f"uint64_t state = {_LCG_SEED}u;",
@@ -520,7 +520,7 @@ def _branch_parts(ident: str, params: dict):
     return decls, body, ["sink += acc;"]
 
 
-def _arith_parts(ident: str, params: dict):
+def _arith_parts(params: dict):
     mix, fp = params["mix"], params["fp"]
     if fp:
         decls = [
@@ -549,18 +549,17 @@ _FAMILY_PARTS = {
 }
 
 
-def _buffer(ident: str, users) -> list[str]:
-    return [f"static unsigned char buf_{ident}[{users[0].params['buffer']}u];"]
+def _buffer(size: int, users) -> list[str]:
+    return [f"static unsigned char buf_{size}[{size}u];"]
 
 
-def _pool(ident: str, users) -> list[str]:
+def _pool(count: int, users) -> list[str]:
     """The functions that blocks ``users`` can call, and their table.  A
     block's index visits the multiples of gcd(count, step), so with u the
     largest power of two dividing count and every step, function i is
     defined only where u divides i.  Aligned to ``FUNC_SPACING * u``, each
     still sits ``FUNC_SPACING * i`` bytes past function 0.  The table keeps
     all ``count`` slots; one never called holds 0, so a call to it crashes."""
-    count = users[0].params["count"]
     gcd = math.gcd(count, *(_call_step(spec.params["stride"]) for spec in users))
     unit = gcd & -gcd
     lines, names = [], []
@@ -568,12 +567,12 @@ def _pool(ident: str, users) -> list[str]:
         if i % unit:
             names.append("0")
             continue
-        names.append(f"fn_{ident}_{i:04d}")
+        names.append(f"fn_{count}_{i:04d}")
         lines.append(
             f"static __attribute__((noinline, aligned({FUNC_SPACING * unit}))) "
             f"uint64_t {names[-1]}(uint64_t x) {{ return x + {i + 1}u; }}"
         )
-    lines.append(f"static uint64_t (*const tab_{ident}[{count}])(uint64_t) = {{")
+    lines.append(f"static uint64_t (*const tab_{count}[{count}])(uint64_t) = {{")
     for start in range(0, count, 8):
         lines.append("    " + ", ".join(names[start:start + 8]) + ",")
     lines.append("};")
@@ -581,20 +580,27 @@ def _pool(ident: str, users) -> list[str]:
 
 
 # the param that sizes a family's static resource; blocks of the family that
-# agree on it share one buffer or one function pool, whose source lines
-# _RESOURCE[family](ident, blocks) gives
+# agree on it share one buffer or one function pool, named after that size,
+# whose source lines _RESOURCE[family](size, blocks) gives
 _SHARED_BY = {"memory_access": "buffer", "function_access": "count"}
 _RESOURCE = {"memory_access": _buffer, "function_access": _pool}
 
 
-def _block_parts(spec: BlockSpec, owner: str | None = None):
-    """(declarations, loop body, tail) lines of ``spec``.  The buffer or
-    function pool is named after block ``owner``, by default ``spec``
-    itself."""
-    return _FAMILY_PARTS[spec.family](_c_ident(owner or spec.id), spec.params)
+def _resources(specs) -> list[str]:
+    """Each buffer and function pool that blocks ``specs`` use, once, in
+    the order of its first user."""
+    users = {}  # (family, size) -> {block id: spec} of the blocks sharing it
+    for spec in specs:
+        shared = _SHARED_BY.get(spec.family)
+        if shared:
+            users.setdefault((spec.family, spec.params[shared]), {})[spec.id] = spec
+    lines = []
+    for (family, size), sharing in users.items():
+        lines += _RESOURCE[family](size, list(sharing.values())) + [""]
+    return lines
 
 
-def _fragment(spec: BlockSpec, parts, iterations: int, indent: str) -> list[str]:
+def _fragment(spec: BlockSpec, iterations: int, indent: str) -> list[str]:
     """The exterior counted loop wrapping the family interior."""
     if int(iterations) < 0:
         raise InvalidParameterError(f"iterations must be >= 0, got {iterations}")
@@ -602,7 +608,7 @@ def _fragment(spec: BlockSpec, parts, iterations: int, indent: str) -> list[str]
         raise InvalidParameterError(
             f"block {spec.id}: iterations must be <= 2^64 - 1, got {iterations}"
         )
-    decls, body, tail = parts
+    decls, body, tail = _FAMILY_PARTS[spec.family](spec.params)
     lines = [f"{indent}/* block {spec.id}: {spec.family} */", f"{indent}{{"]
     lines += [f"{indent}    {d}" for d in decls]
     lines.append(f"{indent}    for (uint64_t it = 0u; it < {int(iterations)}u; ++it) {{")
@@ -616,11 +622,10 @@ def _fragment(spec: BlockSpec, parts, iterations: int, indent: str) -> list[str]
 def render_block(spec: BlockSpec, iterations: int) -> str:
     """Standalone source text for one block (declarations plus its loop)."""
     lines = ["#include <stdint.h>", "", "static volatile uint64_t sink;", ""]
-    if spec.family in _RESOURCE:
-        lines += _RESOURCE[spec.family](_c_ident(spec.id), [spec]) + [""]
+    lines += _resources([spec])
     lines.append(f"void run_{_c_ident(spec.id)}(void)")
     lines.append("{")
-    lines += _fragment(spec, _block_parts(spec), iterations, "    ")
+    lines += _fragment(spec, iterations, "    ")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -640,24 +645,7 @@ def render_program(program: ProxyProgram, library: BlockLibrary) -> str:
         "static volatile uint64_t sink;",
         "",
     ]
-    # each distinct block's parts are built once, and each buffer or function
-    # pool is emitted once, for all the blocks that use it, named after the
-    # first of them in program order
-    parts = {}
-    users = {}  # (family, size) -> the distinct blocks sharing it
-    for block_id, _ in program.entries:
-        if block_id in parts:
-            continue
-        spec = library.blocks[block_id]
-        shared = _SHARED_BY.get(spec.family)
-        owner = None
-        if shared:
-            sharing = users.setdefault((spec.family, spec.params[shared]), [])
-            sharing.append(spec)
-            owner = sharing[0].id
-        parts[block_id] = _block_parts(spec, owner)
-    for sharing in users.values():
-        lines += _RESOURCE[sharing[0].family](_c_ident(sharing[0].id), sharing) + [""]
+    lines += _resources(library.blocks[block_id] for block_id, _ in program.entries)
     lines += [
         "int main(void)",
         "{",
@@ -665,7 +653,7 @@ def render_program(program: ProxyProgram, library: BlockLibrary) -> str:
         "    clock_gettime(CLOCK_MONOTONIC, &ts0);",
     ]
     for block_id, executions in program.entries:
-        lines += _fragment(library.blocks[block_id], parts[block_id], executions, "    ")
+        lines += _fragment(library.blocks[block_id], executions, "    ")
     lines += [
         "    clock_gettime(CLOCK_MONOTONIC, &ts1);",
         "    double elapsed = (double)(ts1.tv_sec - ts0.tv_sec)",

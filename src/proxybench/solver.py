@@ -390,15 +390,3 @@ def select_blocks(solution: NnlsSolution, library, eps: float):
 def counts_from_solution(solution: NnlsSolution, n0: int) -> list[int]:
     """Execution counts ``round(x_j * n0)``, rounding half up."""
     return [int(math.floor(value * n0 + 0.5)) for value in solution.x]
-
-
-def dump_system(system: LinearSystem) -> str:
-    """Matrix file for external verification: one row per line as
-    ``label<TAB>coefficients...<TAB>| rhs weight``."""
-    lines = ["# columns: " + " ".join(system.col_labels)]
-    for i, label in enumerate(system.row_labels):
-        coeffs = "\t".join(repr(float(v)) for v in system.matrix[i])
-        lines.append(
-            f"{label}\t{coeffs}\t|\t{float(system.rhs[i])!r}\t{float(system.row_weights[i])!r}"
-        )
-    return "\n".join(lines) + "\n"

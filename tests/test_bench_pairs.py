@@ -120,3 +120,99 @@ def test_pipeline_stage_medians_are_kept():
     summary = bench_pairs.summarize(pairs)
     assert summary["cc_s"]["change_wins"] == 1
     assert summary["proxy_run_s"]["ties"] == 1
+
+
+@pytest.mark.parametrize("settings", [
+    {"PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
+    {"PYTHONDONTWRITEBYTECODE": None, "OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": None},
+])
+def test_the_environment_of_the_runs_is_recorded(tmp_path, monkeypatch, settings):
+    for name, value in settings.items():
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    seen = []
+
+    def bench(tree, workload, seed, seconds, trace):
+        seen.append({name: bench_pairs.child_env().get(name) for name in settings})
+        return detail({}) | {"host_start": {}}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, directory: "abc1234")
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    assert bench_pairs.main(["--parent", "HEAD", "--slug", "t", "--run", "w:1"]) == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["environment"] == settings
+    assert seen == [settings, settings]  # as both runs of the pair saw them
+
+
+def runs(*values):
+    return [float(v) for v in values]
+
+
+PARENT = runs(100, 102, 98, 101, 99, 103, 97, 100, 101, 99)  # quartiles 99, 101
+
+
+@pytest.mark.parametrize("change, better, bound, expected", [
+    # 10 of 10 wins, median gap 5 > quartile distance 2
+    (runs(95, 97, 93, 96, 94, 98, 92, 95, 96, 94), "lower", 0.25, "gain"),
+    # 9 of 10 wins is enough
+    (runs(95, 97, 93, 96, 94, 98, 92, 95, 96, 104), "lower", 0.25, "gain"),
+    # 8 of 10 wins is not
+    (runs(95, 97, 93, 96, 94, 98, 92, 95, 106, 104), "lower", 0.25, "no regression"),
+    # every pair won, but the median gap 1 is inside the quartile distance 2
+    (runs(99, 101, 97, 100, 98, 102, 96, 99, 100, 98), "lower", 0.25, "no regression"),
+    # 10% worse against a 5% bound
+    (runs(110, 112, 108, 111, 109, 113, 107, 110, 111, 109), "lower", 0.05, "regression"),
+    # the same runs stay inside a 25% bound
+    (runs(110, 112, 108, 111, 109, 113, 107, 110, 111, 109), "lower", 0.25, "no regression"),
+    # identical runs
+    (PARENT, "lower", 0.25, "no regression"),
+    # higher is better: the same lower runs are a regression
+    (runs(95, 97, 93, 96, 94, 98, 92, 95, 96, 94), "higher", 0.02, "regression"),
+    (runs(105, 107, 103, 106, 104, 108, 102, 105, 106, 104), "higher", 0.02, "gain"),
+])
+def test_verdict_on_a_metric(change, better, bound, expected):
+    assert bench_pairs.verdict(PARENT, change, better, bound) == expected
+
+
+WIDE = runs(80, 120, 90, 110, 70, 130, 100, 85, 115, 95)  # quartiles 86.25, 113.75
+
+
+@pytest.mark.parametrize("change, expected", [
+    # the parent's spread (27.5) is wider than the bound (10% of 97.5)
+    (runs(81, 121, 91, 111, 71, 131, 101, 86, 116, 96), "unresolved"),
+    # a gap wider than the spread is a gain
+    (runs(60, 62, 58, 61, 59, 63, 57, 60, 61, 59), "gain"),
+    # a median worse by more than the bound is a regression however wide the spread
+    (runs(110, 140, 100, 130, 90, 150, 120, 105, 135, 115), "regression"),
+])
+def test_a_wide_parent_spread_is_unresolved(change, expected):
+    assert bench_pairs.verdict(WIDE, change, "lower", 0.1) == expected
+
+
+def test_a_wide_spread_is_resolved_when_every_change_run_reads_better():
+    parent = runs(70, 130, 70, 130, 70, 130, 70, 130, 70, 130)  # quartiles 70, 130
+    # every pair won, but the median gap 31 is inside the quartile distance 60
+    assert bench_pairs.verdict(parent, runs(*[69] * 10), "lower", 0.1) == "no regression"
+    assert bench_pairs.verdict(parent, runs(*[71] * 10), "lower", 0.1) == "unresolved"
+
+
+def test_verdicts_cover_the_gated_metrics_the_pairs_record():
+    gated = [{"name": "op_p75_ms", "better": "lower", "bound": 0.25},
+             {"name": "accuracy_mean", "better": "higher", "bound": 0.02},
+             {"name": "setup_s", "better": "lower", "bound": 0.25}]
+    assert bench_pairs.verdicts(PAIRS, gated) == {
+        "op_p75_ms": "no regression",  # 3 of 4 wins
+        # the parent's quartiles (0.775, 0.925) lie further apart than 2%
+        "accuracy_mean": "unresolved",
+    }
+
+
+def test_the_benchmark_file_is_read_not_written():
+    before = bench_pairs.BENCHMARK.read_bytes()
+    gated = json.loads(before)["end_to_end"]
+    assert {metric["better"] for metric in gated} <= {"lower", "higher"}
+    assert bench_pairs.verdicts(PAIRS, gated)
+    assert bench_pairs.BENCHMARK.read_bytes() == before

@@ -205,7 +205,7 @@ class TestRendering:
     def test_function_block_targets_are_sequential(self):
         spec = make_function_block(stride=64, count=16, block_id="fnx")
         text = render_block(spec, 10)
-        definitions = re.findall(r"uint64_t fn_fnx_(\d{4})\(uint64_t x\)", text)
+        definitions = re.findall(r"uint64_t fn_16_(\d{4})\(uint64_t x\)", text)
         assert definitions == [f"{i:04d}" for i in range(16)]
         assert "idx = (idx + 1u) % 16u;" in text
 
@@ -318,8 +318,8 @@ def visited(stride, count):
     return seen
 
 
-def defined_functions(text, ident):
-    return [int(i) for i in re.findall(rf"uint64_t fn_{ident}_(\d+)\(uint64_t x\)", text)]
+def defined_functions(text, count):
+    return [int(i) for i in re.findall(rf"uint64_t fn_{count}_(\d+)\(uint64_t x\)", text)]
 
 
 def build(tmp_path, text):
@@ -358,7 +358,7 @@ class TestCalledFunctionPools:
                 specs = [make_function_block(s, count, f"f{s}") for s in strides]
                 program = ProxyProgram(tuple((spec.id, 1) for spec in specs))
                 text = render_program(program, library_from_specs(specs))
-                defined = set(defined_functions(text, specs[0].id))
+                defined = set(defined_functions(text, count))
                 unit = call_unit(count, strides)
                 assert len(defined) == count // unit
                 assert text.count(f"aligned({64 * unit})))") == count // unit
@@ -366,10 +366,10 @@ class TestCalledFunctionPools:
                     assert visited(stride, count) <= defined
                     walks += 1
                 # every slot stays, and one never called holds 0
-                table = text.split(f"tab_{specs[0].id}[{count}])(uint64_t) = {{\n")[1]
+                table = text.split(f"tab_{count}[{count}])(uint64_t) = {{\n")[1]
                 slots = table.split("};")[0].replace(",", " ").split()
                 assert slots == [
-                    f"fn_{specs[0].id}_{i:04d}" if i in defined else "0" for i in range(count)
+                    f"fn_{count}_{i:04d}" if i in defined else "0" for i in range(count)
                 ]
         assert walks == 1728
 
@@ -383,7 +383,7 @@ class TestCalledFunctionPools:
         stdout, symbols = build(tmp_path, text)
         assert f"sink={sink_reference(program, library)}\n" in stdout
         unit = call_unit(512, [library.blocks[b].params["stride"] for b in ids])
-        self.check_layout(text, symbols, ids[0], 512 // unit)
+        self.check_layout(text, symbols, 512, 512 // unit)
 
     @needs_cc_and_nm
     @pytest.mark.parametrize("block_id", DEFAULT_POOL)
@@ -397,14 +397,64 @@ class TestCalledFunctionPools:
         program = ProxyProgram(((block_id, 1000),))
         assert f"sink={sink_reference(program, library)}\n" in stdout
         unit = call_unit(512, [library.blocks[block_id].params["stride"]])
-        self.check_layout(text, symbols, block_id, 512 // unit)
+        self.check_layout(text, symbols, 512, 512 // unit)
 
     @staticmethod
-    def check_layout(text, symbols, ident, expected):
-        defined = defined_functions(text, ident)
+    def check_layout(text, symbols, count, expected):
+        defined = defined_functions(text, count)
         assert len(defined) == expected
-        base = symbols[f"fn_{ident}_0000"]
-        assert [symbols[f"fn_{ident}_{i:04d}"] - base for i in defined] == [64 * i for i in defined]
+        base = symbols[f"fn_{count}_0000"]
+        assert [symbols[f"fn_{count}_{i:04d}"] - base for i in defined] == [64 * i for i in defined]
+
+
+# block ids that differ only in punctuation, which the C names of blocks merge
+PUNCTUATION_TWINS = (
+    make_function_block(64, 8, "a-b"),
+    make_function_block(128, 16, "a_b"),
+    make_memory_block(64, 4096, "m-1"),
+    make_memory_block(128, 8192, "m_1"),
+)
+
+
+class TestResourceNames:
+    """Each buffer, function pool and table is named after the size its
+    blocks share, not after any block."""
+
+    def test_names_are_the_shared_sizes(self):
+        program = ProxyProgram(tuple((spec.id, 100) for spec in PUNCTUATION_TWINS))
+        text = render_program(program, library_from_specs(PUNCTUATION_TWINS))
+        assert re.findall(r"static unsigned char (buf_\d+)\[(\d+)u\];", text) == [
+            ("buf_4096", "4096"), ("buf_8192", "8192"),
+        ]
+        assert re.findall(r"static uint64_t \(\*const (tab_\d+)\[(\d+)\]\)", text) == [
+            ("tab_8", "8"), ("tab_16", "16"),
+        ]
+        assert defined_functions(text, 8) == list(range(8))
+        assert defined_functions(text, 16) == list(range(0, 16, 2))
+        assert "a_b" not in text.split("int main(void)")[0]
+
+    def test_one_working_set_renders_the_same_names_in_any_order(self):
+        # two more blocks share the 8-function pool and the 4096-byte buffer
+        specs = PUNCTUATION_TWINS + (make_function_block(256, 8, "c"),
+                                     make_memory_block(8, 4096, "n"))
+        library = library_from_specs(specs)
+        names = set()
+        for order in itertools.permutations(specs):
+            program = ProxyProgram(tuple((spec.id, 100) for spec in order))
+            text = render_program(program, library)
+            names.add(frozenset(re.findall(r"\b(?:buf|tab|fn)_\w+", text)))
+        assert len(names) == 1
+
+    @needs_cc_and_nm
+    def test_punctuation_twins_compile_and_run(self, tmp_path):
+        library = library_from_specs(PUNCTUATION_TWINS)
+        program = ProxyProgram(tuple((spec.id, 1000 + 37 * i)
+                                     for i, spec in enumerate(PUNCTUATION_TWINS)))
+        text = render_program(program, library)
+        stdout, symbols = build(tmp_path, text)
+        assert f"sink={sink_reference(program, library)}\n" in stdout
+        TestCalledFunctionPools.check_layout(text, symbols, 8, 8)
+        TestCalledFunctionPools.check_layout(text, symbols, 16, 8)
 
 
 class TestLibraryDocuments:

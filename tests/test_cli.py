@@ -165,7 +165,7 @@ class TestAlignCommand:
         }
         assert digests == {
             "program.json": "28d6a140754c9db4cb71e32f05380cb83f56c363455eb2a08e8c179b8292cf7c",
-            "proxy.c": "94f6980553cba7db7b0117a408b2cde9172044c03178143341b4d297b650d730",
+            "proxy.c": "173778af11e23b0c0624d62a75664ed692636916f0a33bd25d82cf1ea9e8f5c0",
             "trace.json": "70caa12a023d6a8cfb3614b4e15e4e5d9ed2df8a3367f192e10a24b35f7ae813",
             "report.json": "5e7da28c19cfdf624bcbf3f7759566d4e4937cdec4b59cfa7f56821bc19f5e4a",
         }

@@ -33,7 +33,6 @@ from proxybench.solver import (
     assemble_incremental_system,
     assemble_initial_system,
     counts_from_solution,
-    dump_system,
     nnls,
     select_blocks,
     unreachable_rows,
@@ -492,20 +491,6 @@ class TestCounts:
     def test_round_half_up(self):
         solution = NnlsSolution(np.array([1.5e-7]), 0.0, 1)
         assert counts_from_solution(solution, 10_000_000) == [2]
-
-
-class TestDump:
-    def test_dump_layout(self):
-        system = plain_system([[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])
-        text = dump_system(system)
-        lines = text.splitlines()
-        assert lines[0] == "# columns: c0 c1"
-        assert len(lines) == 3
-        fields = lines[1].split("\t")
-        assert fields[0] == "r0"
-        assert float(fields[1]) == 1.0 and float(fields[2]) == 2.0
-        assert fields[3] == "|"
-        assert float(fields[4]) == 5.0 and float(fields[5]) == 1.0
 
 
 class TestMetricRows:
