@@ -36,10 +36,11 @@ for stride in (8, 64, 512, 4096):
 
 # ----------------------------------------------------------------------
 # Every block renders to plain C: a counted exterior loop around the
-# family's interior.  The bound is the execution count.
+# family's interior.  The bound is the execution count.  A block's
+# calibration source is the proxy of that block alone.
 
-print("\nrendered branch block (300000 iterations):")
-print(pb.render_block(br, 300000))
+print("\none-block proxy of the branch block (300000 iterations):")
+print(pb.render_program(pb.ProxyProgram(((br.id, 300000),)), pb.library_from_specs([br])))
 
 # ----------------------------------------------------------------------
 # The default library is a fixed parameter sweep, calibrated and ready.

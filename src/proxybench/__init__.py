@@ -28,7 +28,6 @@ from .blocks import (
     make_branch_block,
     make_function_block,
     make_memory_block,
-    render_block,
     render_program,
     synthetic_profile,
 )
@@ -57,7 +56,6 @@ from .measure import (
     SimulatedMachine,
     format_counts,
     parse_counts,
-    simulate,
 )
 from .report import (
     AccuracyReport,
@@ -73,6 +71,7 @@ from .report import (
 )
 from .solver import (
     LinearSystem,
+    MetricRows,
     NnlsSolution,
     assemble_incremental_system,
     assemble_initial_system,

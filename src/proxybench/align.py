@@ -6,8 +6,9 @@ fixed.  Every later round measures the current proxy, asks for 20% more
 instructions (configurable), solves the incremental system for nonnegative
 execution-count increases, and grows the program.  Counts never decrease.
 
-The working set's metric rows are copied out of round 1's matrix once; a
-refinement round computes only its right-hand side and row weights.
+The metric rows are built once over the library and narrowed to the working
+set once; a refinement round computes only its right-hand side and row
+weights.
 """
 
 from __future__ import annotations
@@ -133,11 +134,12 @@ def align(
 
     round_index = 1
     try:
-        system = assemble_initial_system(library, targets, config.ins1)
+        rows = MetricRows.of(library, targets)
+        system = assemble_initial_system(rows, config.ins1)
         solution = _certified(nnls(system, config.tol, config.max_iter), round_index)
         eps = config.prune_eps * float(max(solution.x, default=0.0))
         working = select_blocks(solution, library, eps)
-        rows = MetricRows.of(system, targets, working.ids())
+        rows = rows.columns(working.ids())
         by_block = dict(zip(library.ids(), counts_from_solution(solution, library.n0)))
         program = ProxyProgram(tuple((b, by_block[b]) for b in working.ids()))
         # rounds 2..N start from the whole working set, which round 1 picked
@@ -156,9 +158,7 @@ def align(
             ):
                 break
             delta_ins = measured.counts["instructions"] * config.growth
-            system = assemble_incremental_system(
-                working, targets, measured, delta_ins, rows=rows
-            )
+            system = assemble_incremental_system(rows, measured, delta_ins)
             flagged = unreachable_rows(system)
             solution = _certified(
                 nnls(system, config.tol, config.max_iter, start=start), round_index

@@ -465,13 +465,6 @@ def default_library(n0: int = N0_DEFAULT, fp_variants: bool = True) -> BlockLibr
 # source rendering
 
 
-def _c_ident(block_id: str) -> str:
-    ident = "".join(c if c.isalnum() or c == "_" else "_" for c in block_id)
-    if not ident or ident[0].isdigit():
-        ident = "b_" + ident
-    return ident
-
-
 def _memory_parts(params: dict):
     stride, buffer = params["stride"], params["buffer"]
     decls = [
@@ -581,27 +574,15 @@ def _pool(count: int, users) -> list[str]:
 
 # the param that sizes a family's static resource; blocks of the family that
 # agree on it share one buffer or one function pool, named after that size,
-# whose source lines _RESOURCE[family](size, blocks) gives
+# whose source lines _RESOURCE[family](size, blocks) gives, once, in the order
+# of its first user
 _SHARED_BY = {"memory_access": "buffer", "function_access": "count"}
 _RESOURCE = {"memory_access": _buffer, "function_access": _pool}
 
 
-def _resources(specs) -> list[str]:
-    """Each buffer and function pool that blocks ``specs`` use, once, in
-    the order of its first user."""
-    users = {}  # (family, size) -> {block id: spec} of the blocks sharing it
-    for spec in specs:
-        shared = _SHARED_BY.get(spec.family)
-        if shared:
-            users.setdefault((spec.family, spec.params[shared]), {})[spec.id] = spec
-    lines = []
-    for (family, size), sharing in users.items():
-        lines += _RESOURCE[family](size, list(sharing.values())) + [""]
-    return lines
-
-
-def _fragment(spec: BlockSpec, iterations: int, indent: str) -> list[str]:
-    """The exterior counted loop wrapping the family interior."""
+def _fragment(spec: BlockSpec, iterations: int) -> list[str]:
+    """The exterior counted loop wrapping the family interior, indented to
+    sit in ``main``."""
     if int(iterations) < 0:
         raise InvalidParameterError(f"iterations must be >= 0, got {iterations}")
     if int(iterations) > _LOOP_MAX:  # a wider literal would be cut to 64 bits
@@ -609,31 +590,26 @@ def _fragment(spec: BlockSpec, iterations: int, indent: str) -> list[str]:
             f"block {spec.id}: iterations must be <= 2^64 - 1, got {iterations}"
         )
     decls, body, tail = _FAMILY_PARTS[spec.family](spec.params)
-    lines = [f"{indent}/* block {spec.id}: {spec.family} */", f"{indent}{{"]
-    lines += [f"{indent}    {d}" for d in decls]
-    lines.append(f"{indent}    for (uint64_t it = 0u; it < {int(iterations)}u; ++it) {{")
-    lines += [f"{indent}        {b}" for b in body]
-    lines.append(f"{indent}    }}")
-    lines += [f"{indent}    {t}" for t in tail]
-    lines.append(f"{indent}}}")
-    return lines
-
-
-def render_block(spec: BlockSpec, iterations: int) -> str:
-    """Standalone source text for one block (declarations plus its loop)."""
-    lines = ["#include <stdint.h>", "", "static volatile uint64_t sink;", ""]
-    lines += _resources([spec])
-    lines.append(f"void run_{_c_ident(spec.id)}(void)")
-    lines.append("{")
-    lines += _fragment(spec, iterations, "    ")
+    lines = [f"/* block {spec.id}: {spec.family} */", "{"]
+    lines += [f"    {d}" for d in decls]
+    lines.append(f"    for (uint64_t it = 0u; it < {int(iterations)}u; ++it) {{")
+    lines += [f"        {b}" for b in body]
+    lines.append("    }")
+    lines += [f"    {t}" for t in tail]
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return ["    " + line for line in lines]
 
 
 def render_program(program: ProxyProgram, library: BlockLibrary) -> str:
-    """One compilable translation unit running ``program`` end to end."""
+    """One compilable translation unit running ``program`` end to end.  A
+    block's calibration source is the proxy of the program of that block
+    alone; the empty program renders the harness, the calibration baseline."""
+    users = {}  # (family, size) -> {block id: spec} of the blocks sharing it
     for block_id, _ in program.entries:
-        library.require(block_id)
+        spec = library.require(block_id)
+        shared = _SHARED_BY.get(spec.family)
+        if shared:
+            users.setdefault((spec.family, spec.params[shared]), {})[block_id] = spec
 
     lines = [
         "/* generated proxy benchmark */",
@@ -645,7 +621,8 @@ def render_program(program: ProxyProgram, library: BlockLibrary) -> str:
         "static volatile uint64_t sink;",
         "",
     ]
-    lines += _resources(library.blocks[block_id] for block_id, _ in program.entries)
+    for (family, size), sharing in users.items():
+        lines += _RESOURCE[family](size, list(sharing.values())) + [""]
     lines += [
         "int main(void)",
         "{",
@@ -653,7 +630,7 @@ def render_program(program: ProxyProgram, library: BlockLibrary) -> str:
         "    clock_gettime(CLOCK_MONOTONIC, &ts0);",
     ]
     for block_id, executions in program.entries:
-        lines += _fragment(library.blocks[block_id], executions, "    ")
+        lines += _fragment(library.blocks[block_id], executions)
     lines += [
         "    clock_gettime(CLOCK_MONOTONIC, &ts1);",
         "    double elapsed = (double)(ts1.tv_sec - ts0.tv_sec)",

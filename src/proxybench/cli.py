@@ -34,8 +34,11 @@ DEFAULT_NOISE = "uniform:0.03"
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ProxyBenchError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 # noise kind -> (model, level when the spec gives none)
@@ -126,8 +129,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_import_counts(args) -> int:
+    text = _read(args.path)
     try:
-        result = parse_counts(_read(args.path))
+        result = parse_counts(text)
     except ProxyBenchError as exc:
         raise ProxyBenchError(f"{args.path}: {exc}") from None
     text = format_counts(result)
@@ -140,8 +144,9 @@ def _cmd_import_counts(args) -> int:
 
 def _metrics_from_file(path: str) -> dict:
     # parse and metric errors both carry the offending file
+    text = _read(path)
     try:
-        return compute_all_metrics(parse_counts(_read(path)), METRICS)
+        return compute_all_metrics(parse_counts(text), METRICS)
     except ProxyBenchError as exc:
         raise ProxyBenchError(f"{path}: {exc}") from None
 

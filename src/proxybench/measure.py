@@ -98,22 +98,6 @@ def _clamp_miss_pairs(counts: dict[str, float]) -> dict[str, float]:
     return counts
 
 
-def simulate(
-    program: ProxyProgram,
-    library,
-    noise: NoiseModel = NoiseModel.none(),
-    nonce: int = 0,
-) -> MeasurementResult:
-    """Measure ``program`` on a :class:`SimulatedMachine` of ``library``.
-
-    Pure function of its arguments: the multiplicative kinds draw one factor
-    per event from a generator derived from ``(seed, nonce)``, so the same
-    call repeated gives the same result and distinct nonces give independent
-    draws.
-    """
-    return SimulatedMachine(library, noise).measure(program, nonce)
-
-
 class Measurer(Protocol):
     """Anything that can run a program and report event counts."""
 
@@ -139,6 +123,8 @@ class SimulatedMachine:
         self._model: ProfileRows | None = None
 
     def measure(self, program: ProxyProgram, nonce: int = 0) -> MeasurementResult:
+        """The noisy counts of ``program``: the multiplicative kinds draw one
+        factor per event from a generator seeded with ``(seed, nonce)``."""
         noise = self.noise
         model = self._model
         block_ids = program.block_ids()

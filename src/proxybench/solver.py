@@ -16,11 +16,12 @@ The result keeps its bits: Lawson-Hanson returns ``lstsq`` over its final
 passive set, so a warm and a cold solve that end on the same passive set
 return the same ``x`` and residual.
 
-The refinement systems share more than the start: their matrix, labels and
-sign pattern depend only on the working set and the targets.  ``align``
-copies them once out of round 1's full-library matrix into a ``MetricRows``
-and hands it to every refinement round, which then computes only the
-right-hand side and the row weights from the measured counts.
+Every system is assembled from a ``MetricRows``: the matrix, labels, sign
+pattern and per-block denominator counts that depend only on the block set
+and the targets.  ``align`` builds them once over the library, narrows them
+to the working set round 1 keeps, and hands them to every refinement round,
+which then computes only the right-hand side and the row weights from the
+measured counts.
 
 Rows are weighted so one unit of weighted residual means the same thing on
 every row: a metric row is scaled by ``1/(target * expected denominator
@@ -81,35 +82,67 @@ def _sign_pattern(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class MetricRows:
-    """The metric rows and the budget row of the systems over one block set,
-    with their labels and sign pattern: everything in a refinement round's
-    system except the right-hand side and the row weights.
+    """The metric rows and the budget row of the systems over one block set
+    and one set of targets, with their labels, sign pattern and each metric's
+    per-block denominator counts: everything in a system but the right-hand
+    side and the row weights.
 
-    ``matrix`` is a read-only copy, since every system assembled from the rows
-    shares it.  The copy is C-contiguous, as a matrix assembled from scratch
-    is; over a strided view the solver's sums run in another order and the
-    last bits of its solution move.
+    The arrays are read-only, since every system assembled from the rows
+    shares them, and C-contiguous: over a strided view the solver's sums run
+    in another order and the last bits of its solution move.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray  # (q+1) x m
+    denominators: np.ndarray  # q x m
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     targets: TargetMetrics
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float, order="C")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
+        if not self.col_labels:
+            raise InvalidSystemError("the library has no blocks")
+        for name in ("matrix", "denominators"):
+            array = np.array(getattr(self, name), dtype=float, order="C")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "sign_pattern", _sign_pattern(self.matrix))
         object.__setattr__(self, "definitions", self.targets.definitions())
 
     @classmethod
-    def of(cls, system: LinearSystem, targets: TargetMetrics, ids) -> "MetricRows":
-        """The rows of ``system``, assembled for ``targets``, at the columns of
-        the blocks ``ids``."""
-        column = {label: j for j, label in enumerate(system.col_labels)}
-        matrix = system.matrix[:, [column[block_id] for block_id in ids]]
-        return cls(matrix, system.row_labels, tuple(ids), targets)
+    def of(cls, library, targets: TargetMetrics) -> "MetricRows":
+        """The rows over every block of ``library``."""
+        definitions = targets.definitions()
+        labels = tuple(d.id for d in definitions) + (BUDGET_ROW,)
+        # the budget row is instructions over instructions at target 0, so
+        # its coefficients come out as the instruction counts themselves
+        pairs = [(d.numerator, d.denominator) for d in definitions]
+        pairs.append(("instructions", "instructions"))
+        columns = [[EVENT_INDEX[event] for event in pair] for pair in pairs]
+        # (rows, blocks, numerator/denominator)
+        counts = library.event_matrix[:, columns].transpose(1, 0, 2)
+        cols = library.ids()
+        # row-major: the first hit is the first (metric, block) pair lacking
+        # an event, numerator before denominator
+        missing = np.argwhere(np.isnan(counts))
+        if len(missing):
+            i, j, k = missing[0]
+            raise IncompleteProfileError(
+                f"block {cols[j]} lacks event {pairs[i][k]} needed by metric {labels[i]}"
+            )
+        values = np.array([targets.targets[d.id] for d in definitions] + [0.0])
+        # a product that overflows is caught, with its row named, in _system
+        with np.errstate(over="ignore"):
+            matrix = counts[:, :, 0] - values[:, None] * counts[:, :, 1]
+        return cls(matrix, counts[:-1, :, 1], labels, cols, targets)
+
+    def columns(self, ids) -> "MetricRows":
+        """The rows at the columns of the blocks ``ids``."""
+        column = {label: j for j, label in enumerate(self.col_labels)}
+        index = [column[block_id] for block_id in ids]
+        return MetricRows(
+            self.matrix[:, index], self.denominators[:, index],
+            self.row_labels, tuple(ids), self.targets,
+        )
 
 
 @dataclass(frozen=True)
@@ -120,89 +153,60 @@ class NnlsSolution:
     certified: bool = True
 
 
-def _metric_rows(library, targets: TargetMetrics):
-    """Metric rows plus the budget row over every block of ``library``, and
-    each metric's per-block denominator counts."""
-    definitions = targets.definitions()
-    labels = tuple(d.id for d in definitions) + (BUDGET_ROW,)
-    # the budget row is instructions over instructions at target 0, so its
-    # coefficients come out as the instruction counts themselves
-    pairs = [(d.numerator, d.denominator) for d in definitions]
-    pairs.append(("instructions", "instructions"))
-    columns = [[EVENT_INDEX[event] for event in pair] for pair in pairs]
-    # (rows, blocks, numerator/denominator)
-    counts = library.event_matrix[:, columns].transpose(1, 0, 2)
-    cols = library.ids()
-    # row-major: the first hit is the first (metric, block) pair lacking an
-    # event, numerator before denominator
-    missing = np.argwhere(np.isnan(counts))
-    if len(missing):
-        i, j, k = missing[0]
-        raise IncompleteProfileError(
-            f"block {cols[j]} lacks event {pairs[i][k]} needed by metric {labels[i]}"
-        )
-    values = np.array([targets.targets[d.id] for d in definitions] + [0.0])
-    # a product that overflows is caught, with its row named, in _system
-    with np.errstate(over="ignore"):
-        matrix = counts[:, :, 0] - values[:, None] * counts[:, :, 1]
-    return matrix, labels, cols, definitions, counts[:-1, :, 1]
-
-
-def _row_weights(targets, definitions, denominators, budget: float) -> np.ndarray:
+def _row_weights(rows: MetricRows, denominators, budget: float) -> np.ndarray:
     """1/(target * denominator estimate) per metric row, q/budget for the
     budget row; weighted residuals are then relative errors."""
-    weights = np.ones(len(definitions) + 1)
-    for i, definition in enumerate(definitions):
-        scale = targets.targets[definition.id] * denominators[i]
+    weights = np.ones(len(rows.row_labels))
+    for i, definition in enumerate(rows.definitions):
+        scale = rows.targets.targets[definition.id] * denominators[i]
         if math.isinf(scale):
             raise InvalidSystemError(
                 f"weighted row {definition.id}: target times denominator estimate overflows a float"
             )
         if scale > 0:
             weights[i] = 1.0 / scale
-    weights[-1] = max(len(definitions), 1) / max(abs(budget), 1.0)
+    weights[-1] = max(len(rows.definitions), 1) / max(abs(budget), 1.0)
     return weights
 
 
-def _system(matrix, rhs, labels, cols, weights) -> LinearSystem:
-    """The weighted system, unless a row's weighted sum of squares overflows:
-    lstsq returns NaN for it, so the solve could only end uncertified."""
+def _system(rows: MetricRows, rhs, weights) -> LinearSystem:
+    """The weighted system over ``rows``, unless a row's weighted sum of
+    squares overflows: lstsq returns NaN for it, so the solve could only end
+    uncertified."""
     with np.errstate(over="ignore", invalid="ignore"):
-        a = matrix * weights[:, None]
+        a = rows.matrix * weights[:, None]
         overflows = ~np.isfinite(np.einsum("ij,ij->i", a, a) + (rhs * weights) ** 2)
     if overflows.any():
-        raise InvalidSystemError(f"weighted row {labels[overflows.argmax()]} overflows a float")
-    return LinearSystem(matrix, rhs, labels, cols, weights)
+        raise InvalidSystemError(
+            f"weighted row {rows.row_labels[overflows.argmax()]} overflows a float"
+        )
+    system = LinearSystem(rows.matrix, rhs, rows.row_labels, rows.col_labels, weights)
+    # the system's matrix is the rows' own, so its sign pattern is too
+    system.__dict__["sign_pattern"] = rows.sign_pattern
+    return system
 
 
-def assemble_initial_system(library, targets: TargetMetrics, ins1: float) -> LinearSystem:
+def assemble_initial_system(rows: MetricRows, ins1: float) -> LinearSystem:
     """Equation system for the first solve: homogeneous metric rows plus the
     instruction-budget row with right-hand side ``ins1``.
 
     Denominator estimates for the row weights assume the instruction budget
-    is spread evenly over the library.
+    is spread evenly over the blocks.
     """
     if ins1 <= 0:
         raise InvalidSystemError(f"ins1 must be > 0, got {ins1}")
-    matrix, labels, cols, definitions, denominator_counts = _metric_rows(library, targets)
-    rhs = np.zeros(len(labels))
+    rhs = np.zeros(len(rows.row_labels))
     rhs[-1] = float(ins1)
     with np.errstate(over="ignore"):
-        per_instruction = (denominator_counts / matrix[-1]).tolist()
+        per_instruction = (rows.denominators / rows.matrix[-1]).tolist()
     # Python's left-to-right sum, not numpy's pairwise one, fixes the weights'
     # last bits
     denominators = [ins1 * sum(row) / len(row) for row in per_instruction]
-    weights = _row_weights(targets, definitions, denominators, float(ins1))
-    return _system(matrix, rhs, labels, tuple(cols), weights)
+    return _system(rows, rhs, _row_weights(rows, denominators, float(ins1)))
 
 
 def assemble_incremental_system(
-    library,
-    targets: TargetMetrics,
-    measured: MeasurementResult,
-    delta_ins: float,
-    *,
-    rows: MetricRows | None = None,
+    rows: MetricRows, measured: MeasurementResult, delta_ins: float
 ) -> LinearSystem:
     """Equation system for one refinement round.
 
@@ -210,21 +214,13 @@ def assemble_incremental_system(
     right-hand side is the gap ``v * den(measured) - num(measured)`` left by
     the measured counts, and the budget row asks for ``delta_ins`` more
     instructions.
-
-    ``rows``, the :class:`MetricRows` of ``library`` and ``targets``, saves
-    assembling the matrix again; the system is the same either way.
     """
     if delta_ins < 0:
         raise InvalidSystemError(f"delta_ins must be >= 0, got {delta_ins}")
-    if rows is None:
-        matrix, labels, cols, _, _ = _metric_rows(library, targets)
-        rows = MetricRows(matrix, labels, cols, targets)
-    elif rows.col_labels != library.ids() or rows.targets != targets:
-        raise InvalidSystemError("metric rows were built for other blocks or targets")
     rhs = np.zeros(len(rows.row_labels))
     denominators = []
     for i, definition in enumerate(rows.definitions):
-        value = targets.targets[definition.id]
+        value = rows.targets.targets[definition.id]
         num = measured.counts.get(definition.numerator)
         den = measured.counts.get(definition.denominator)
         if num is None or den is None:
@@ -234,11 +230,7 @@ def assemble_incremental_system(
         rhs[i] = value * den - num
         denominators.append(den)
     rhs[-1] = float(delta_ins)
-    weights = _row_weights(targets, rows.definitions, denominators, float(delta_ins))
-    system = _system(rows.matrix, rhs, rows.row_labels, rows.col_labels, weights)
-    # the system's matrix is the rows' own, so its sign pattern is too
-    system.__dict__["sign_pattern"] = rows.sign_pattern
-    return system
+    return _system(rows, rhs, _row_weights(rows, denominators, float(delta_ins)))
 
 
 def unreachable_rows(system: LinearSystem) -> tuple[str, ...]:

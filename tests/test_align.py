@@ -26,6 +26,7 @@ from proxybench.errors import (
 )
 from proxybench.report import accuracy
 from proxybench.solver import (
+    MetricRows,
     NnlsSolution,
     assemble_incremental_system,
     assemble_initial_system,
@@ -72,7 +73,7 @@ class TestNoiselessLoop:
         config = AlignConfig(rounds=1, ins1=ins1)
         program, trace = align(library, targets, config, SimulatedMachine(library))
 
-        system = assemble_initial_system(library, targets, ins1)
+        system = assemble_initial_system(MetricRows.of(library, targets), ins1)
         solution = nnls(system, config.tol, config.max_iter)
         eps = config.prune_eps * float(np.max(solution.x))
         working = select_blocks(solution, library, eps)
@@ -94,11 +95,9 @@ class TestNoiselessLoop:
         _, targets, ins1 = hidden_targets(library, rng)
         config = AlignConfig(rounds=1, ins1=ins1)
         program, trace = align(library, targets, config, SimulatedMachine(library))
-        working = library.subset(program.block_ids())
+        rows = MetricRows.of(library.subset(program.block_ids()), targets)
         measured = trace.rounds[-1].measured
-        system = assemble_incremental_system(
-            working, targets, measured, measured.counts["instructions"] * 0.2
-        )
+        system = assemble_incremental_system(rows, measured, measured.counts["instructions"] * 0.2)
         scale = np.abs(system.rhs[-1])
         assert np.all(np.abs(system.rhs[:-1]) <= 1e-3 * scale)
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import pickle
 import re
 import shutil
@@ -18,11 +19,13 @@ from proxybench import (
     make_branch_block,
     make_function_block,
     make_memory_block,
-    render_block,
     render_program,
     synthetic_profile,
 )
 from proxybench.blocks import (
+    _LCG_ADD as LCG_ADD,
+    _LCG_MUL as LCG_MUL,
+    _LCG_SEED as LCG_SEED,
     BlockLibrary,
     calibrate_synthetic,
     dump_library,
@@ -182,40 +185,46 @@ class TestDefaultLibrary:
         assert plain["fp_insts"] == 0 and plain["vec_insts"] == 0
 
 
+def one_block(spec, iterations, library=None):
+    """The calibration source of ``spec``: the proxy of that block alone."""
+    library = library or library_from_specs([spec])
+    return render_program(ProxyProgram(((spec.id, iterations),)), library)
+
+
 class TestRendering:
     def test_loop_bound_literal_appears_once(self, library):
-        text = render_block(library.blocks["mix_add16"], 300000)
+        text = one_block(library.blocks["mix_add16"], 300000, library)
         assert text.count("300000") == 1
 
     def test_zero_iterations(self, library):
-        text = render_block(library.blocks["mix_add16"], 0)
+        text = one_block(library.blocks["mix_add16"], 0, library)
         assert "it < 0u" in text
         assert LOOP_HEADER in text
 
     def test_rendering_is_deterministic(self, library):
         spec = library.blocks["mem_stride64"]
-        assert render_block(spec, 12345) == render_block(spec, 12345)
+        assert one_block(spec, 12345, library) == one_block(spec, 12345, library)
 
     def test_memory_block_walks_by_stride(self):
         spec = calibrate_synthetic(make_memory_block(stride=64, buffer=32 * 1024))
-        text = render_block(spec, 10)
+        text = one_block(spec, 10)
         assert "off += 64u;" in text
         assert "if (off >= 32768u) off -= 32768u;" in text
 
     def test_function_block_targets_are_sequential(self):
         spec = make_function_block(stride=64, count=16, block_id="fnx")
-        text = render_block(spec, 10)
+        text = one_block(spec, 10)
         definitions = re.findall(r"uint64_t fn_16_(\d{4})\(uint64_t x\)", text)
         assert definitions == [f"{i:04d}" for i in range(16)]
         assert "idx = (idx + 1u) % 16u;" in text
 
     def test_function_block_two_hot_functions_alternate(self):
         spec = make_function_block(stride=64, count=2, block_id="pair")
-        text = render_block(spec, 10)
+        text = one_block(spec, 10)
         assert "idx = (idx + 1u) % 2u;" in text
 
     def test_branch_block_embeds_fixed_recurrence(self):
-        text = render_block(make_branch_block(512), 10)
+        text = one_block(make_branch_block(512), 10)
         assert "state = state * 6364136223846793005u + 1442695040888963407u;" in text
         assert "if (r > 512u)" in text
 
@@ -283,20 +292,46 @@ class TestRendering:
         assert f"sink={sink_reference(program, library)}\n" in run.stdout
 
 
+INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.floordiv}
+FP_OPS = {**INT_OPS, "div": operator.truediv}
+
+
 def sink_reference(program, library):
-    """The ``sink`` a proxy of memory and function blocks prints: each
-    function block starts from sink, adds idx + 1 per call and folds its sum
-    back; memory blocks leave sink alone."""
+    """The ``sink`` a proxy prints, block by block in program order.  A
+    memory block leaves sink alone.  A function block starts from sink, adds
+    idx + 1 per call and folds its sum back.  A branch block draws from the
+    in-source LCG and sums each r = (state >> 33) & 1023 above its threshold.
+    An arithmetic block runs its chain from a = 1 with b = (sink & 1) | 1,
+    mod 2^64 or on doubles, and adds a (truncated) to sink."""
     sink = 0
     for block_id, executions in program.entries:
-        if library.blocks[block_id].family != "function_access":
+        spec = library.blocks[block_id]
+        params = spec.params
+        if spec.family == "function_access":
+            step, count = max(1, params["stride"] // 64), params["count"]
+            acc, idx = sink, 0
+            for _ in range(executions):
+                acc = (acc + idx + 1) % 2**64
+                idx = (idx + step) % count
+        elif spec.family == "branch_predict":
+            state, acc = LCG_SEED, 0
+            for _ in range(executions):
+                state = (state * LCG_MUL + LCG_ADD) % 2**64
+                r = (state >> 33) & 1023
+                if r > params["threshold"]:
+                    acc += r
+        elif spec.family == "arithmetic":
+            fp, b = params["fp"], (sink & 1) | 1
+            ops = FP_OPS if fp else INT_OPS
+            chain = [ops[op] for op, reps in params["mix"] for _ in range(reps)]
+            a, b = (1.0, float(b)) if fp else (1, b)
+            for _ in range(executions):
+                for step in chain:
+                    a = step(a, b) if fp else step(a, b) % 2**64
+            assert 0 <= a < 2**64  # where C's (uint64_t)a of a double is defined
+            acc = int(a)
+        else:
             continue
-        params = library.blocks[block_id].params
-        step, count = max(1, params["stride"] // 64), params["count"]
-        acc, idx = sink, 0
-        for _ in range(executions):
-            acc = (acc + idx + 1) % 2**64
-            idx = (idx + step) % count
         sink = (sink + acc) % 2**64
     return sink
 
@@ -322,20 +357,53 @@ def defined_functions(text, count):
     return [int(i) for i in re.findall(rf"uint64_t fn_{count}_(\d+)\(uint64_t x\)", text)]
 
 
-def build(tmp_path, text):
-    """Compile ``text`` at -O0 and run it; its stdout and the ``nm -n``
-    address of each symbol."""
+def compile_and_run(tmp_path, text):
+    """Compile ``text`` at -O0 and run it; its stdout and the binary."""
     source, binary = tmp_path / "proxy.c", tmp_path / "proxy"
     source.write_text(text)
     subprocess.run(["cc", "-O0", "-o", str(binary), str(source)], check=True, capture_output=True)
     run = subprocess.run([str(binary)], check=True, capture_output=True, text=True)
+    return run.stdout, binary
+
+
+def build(tmp_path, text):
+    """Compile ``text`` at -O0 and run it; its stdout and the ``nm -n``
+    address of each symbol."""
+    stdout, binary = compile_and_run(tmp_path, text)
     nm = subprocess.run(["nm", "-n", str(binary)], check=True, capture_output=True, text=True)
     symbols = {}
     for line in nm.stdout.splitlines():
         fields = line.split()
         if len(fields) == 3:
             symbols[fields[2]] = int(fields[0], 16)
-    return run.stdout, symbols
+    return stdout, symbols
+
+
+# programs that mix the families, each block once or twice
+MIXED_PROGRAMS = (
+    (("mem_stride64", 1000), ("br_t512", 1100), ("mix_div8", 900), ("fpmix_add16", 1200)),
+    (("fn_stride256", 1000), ("mix_addmul8", 1000), ("br_t128", 1000), ("fn_stride4096", 900)),
+    (("fpmix_div8", 1000), ("br_t0", 1000), ("mix_mul16", 1000), ("mem_stride4096", 1000),
+     ("mix_mul16", 500), ("fpmix_mul16", 1000), ("br_t448", 1000), ("fn_stride64", 1000)),
+)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+class TestCalibrationSources:
+    """A block's calibration source is the proxy of that block alone; it and
+    proxies that mix families print the ``sink`` of the reference model."""
+
+    @pytest.mark.parametrize("block_id", default_library().ids())
+    def test_one_block_proxy_prints_the_reference_sink(self, tmp_path, library, block_id):
+        program = ProxyProgram(((block_id, 1000),))
+        stdout, _ = compile_and_run(tmp_path, render_program(program, library))
+        assert f"sink={sink_reference(program, library)}\n" in stdout
+
+    @pytest.mark.parametrize("entries", MIXED_PROGRAMS, ids=lambda entries: str(len(entries)))
+    def test_mixed_proxy_prints_the_reference_sink(self, tmp_path, library, entries):
+        program = ProxyProgram(entries)
+        stdout, _ = compile_and_run(tmp_path, render_program(program, library))
+        assert f"sink={sink_reference(program, library)}\n" in stdout
 
 
 POOL_STRIDES = (1, 63, 64, 100, 128, 192, 256, 512, 1024, 2048, 4096, 8192)
@@ -383,20 +451,6 @@ class TestCalledFunctionPools:
         stdout, symbols = build(tmp_path, text)
         assert f"sink={sink_reference(program, library)}\n" in stdout
         unit = call_unit(512, [library.blocks[b].params["stride"] for b in ids])
-        self.check_layout(text, symbols, 512, 512 // unit)
-
-    @needs_cc_and_nm
-    @pytest.mark.parametrize("block_id", DEFAULT_POOL)
-    def test_block_calls_the_same_addresses(self, tmp_path, library, block_id):
-        driver = ("#include <stdio.h>\nint main(void)\n{\n"
-                  f"    run_{block_id}();\n"
-                  '    printf("sink=%llu\\n", (unsigned long long)sink);\n'
-                  "    return 0;\n}\n")
-        text = render_block(library.blocks[block_id], 1000)
-        stdout, symbols = build(tmp_path, text + driver)
-        program = ProxyProgram(((block_id, 1000),))
-        assert f"sink={sink_reference(program, library)}\n" in stdout
-        unit = call_unit(512, [library.blocks[block_id].params["stride"]])
         self.check_layout(text, symbols, 512, 512 // unit)
 
     @staticmethod

@@ -1,8 +1,9 @@
 """CLI fuzz: single-value mutations of the input documents.
 
 Each mutated library, targets or program document goes through the command
-that reads it.  The command must exit 0, or print one ``error: …`` line and
-exit 1; an exception escaping ``main`` would reach the user as a traceback.
+that reads it, and so do a library emptied of its blocks and a file that is
+not UTF-8.  The command must exit 0, or print one ``error: …`` line and exit
+1; an exception escaping ``main`` would reach the user as a traceback.
 """
 
 import contextlib
@@ -14,7 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from proxybench import default_library, dump_library, dump_program, dump_targets
+from proxybench import (
+    default_library,
+    dump_library,
+    dump_program,
+    dump_targets,
+    format_counts,
+    predict_events,
+)
 from proxybench.cli import main
 from tests.conftest import hidden_targets, sample_hidden_program
 
@@ -127,3 +135,45 @@ def test_mutated_document_ends_cleanly(documents, workdir, document, command):
         assert_clean_exit(*run(COMMANDS[command](files, workdir)))
 
     check()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_library_without_blocks_ends_cleanly(documents, workdir, command):
+    files = {name: workdir / f"{name}.json" for name in documents}
+    files["library"] = workdir / "empty_library.json"
+    files["library"].write_text(mutated(documents["library"], ("blocks",), []))
+    code, err = run(COMMANDS[command](files, workdir))
+    assert_clean_exit(code, err)
+    if command == "align":
+        assert (code, err) == (1, "error: round 1: the library has no blocks\n")
+
+
+# each command that reads a file, with the file that is not UTF-8 first
+NOT_UTF8 = {
+    "validate": lambda files, bad, out: ["library", "validate", bad],
+    "show": lambda files, bad, out: ["library", "show", bad],
+    "align targets": lambda files, bad, out: [
+        "align", bad, "--library", files["library"], "--out", out / "run",
+    ],
+    "align library": lambda files, bad, out: [
+        "align", files["targets"], "--library", bad, "--out", out / "run",
+    ],
+    "render program": lambda files, bad, out: ["render", bad, "--library", files["library"]],
+    "render library": lambda files, bad, out: ["render", files["program"], "--library", bad],
+    "import-counts": lambda files, bad, out: ["import-counts", bad],
+    "evaluate real": lambda files, bad, out: ["evaluate", bad, files["counts"]],
+    "evaluate proxy": lambda files, bad, out: ["evaluate", files["counts"], bad],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_UTF8))
+def test_file_that_is_not_utf8_is_an_error_line(documents, workdir, command):
+    files = {name: workdir / f"{name}.json" for name in documents}
+    files["counts"] = workdir / "ok.counts"
+    library = default_library()
+    counts = predict_events(sample_hidden_program(library, np.random.default_rng(7)), library)
+    files["counts"].write_text(format_counts(counts))
+    bad = workdir / "bad.json"
+    bad.write_bytes(b'{"metrics": {"cpi": 1.0}}\xff')
+    code, err = run(NOT_UTF8[command](files, bad, workdir))
+    assert (code, err) == (1, f"error: {bad}: not UTF-8 text (invalid start byte)\n")

@@ -14,7 +14,6 @@ from proxybench import (
     format_counts,
     parse_counts,
     predict_events,
-    simulate,
 )
 from proxybench.blocks import BlockLibrary, make_arith_block
 from proxybench.errors import (
@@ -54,25 +53,27 @@ class TestNoiseModel:
 
 class TestSimulate:
     def test_none_equals_prediction_bitwise(self, library, program):
-        assert simulate(program, library).counts == predict_events(program, library).counts
+        measured = SimulatedMachine(library).measure(program)
+        assert measured.counts == predict_events(program, library).counts
 
     def test_fixed_seed_is_deterministic(self, library, program):
         noise = NoiseModel.uniform(0.05, seed=99)
-        first = simulate(program, library, noise, nonce=3)
-        second = simulate(program, library, noise, nonce=3)
+        first = SimulatedMachine(library, noise).measure(program, 3)
+        second = SimulatedMachine(library, noise).measure(program, 3)
         assert first.counts == second.counts
 
     def test_distinct_nonces_differ(self, library, program):
         noise = NoiseModel.uniform(0.05, seed=99)
-        assert simulate(program, library, noise, nonce=1).counts != \
-            simulate(program, library, noise, nonce=2).counts
+        assert SimulatedMachine(library, noise).measure(program, 1).counts != \
+            SimulatedMachine(library, noise).measure(program, 2).counts
 
     def test_uniform_bound_and_unbiasedness(self, library, program):
         predicted = predict_events(program, library).counts
         n = 1000
         ratios = {event: [] for event in predicted}
         for seed in range(n):
-            noisy = simulate(program, library, NoiseModel.uniform(0.05, seed=seed))
+            machine = SimulatedMachine(library, NoiseModel.uniform(0.05, seed=seed))
+            noisy = machine.measure(program)
             for event, value in noisy.counts.items():
                 ratio = value / predicted[event]
                 assert 0.95 - 1e-12 <= ratio <= 1.05 + 1e-12
@@ -81,26 +82,26 @@ class TestSimulate:
             assert abs(np.mean(values) - 1.0) <= 3.0 / math.sqrt(n)
 
     def test_gaussian_zero_sigma_equals_prediction(self, library, program):
-        noisy = simulate(program, library, NoiseModel.gaussian(0.0, seed=5))
+        noisy = SimulatedMachine(library, NoiseModel.gaussian(0.0, seed=5)).measure(program)
         assert noisy.counts == predict_events(program, library).counts
 
     def test_zero_interaction_equals_prediction(self, library, program):
         m = len(program.entries)
         matrix = tuple(tuple(0.0 for _ in range(m)) for _ in range(m))
-        noisy = simulate(program, library, NoiseModel.interaction(matrix))
+        noisy = SimulatedMachine(library, NoiseModel.interaction(matrix)).measure(program)
         assert noisy.counts == pytest.approx(predict_events(program, library).counts)
 
     def test_interaction_scales_by_instruction_share(self, library):
         # one block, self-interaction 0.5: every event scaled by 1.5
         program = ProxyProgram((("mem_stride64", 10_000),))
-        noisy = simulate(program, library, NoiseModel.interaction(((0.5,),)))
+        noisy = SimulatedMachine(library, NoiseModel.interaction(((0.5,),))).measure(program)
         predicted = predict_events(program, library)
         for event, value in predicted.counts.items():
             assert noisy.counts[event] == pytest.approx(1.5 * value, rel=1e-12)
 
     def test_interaction_dimension_mismatch(self, library, program):
         with pytest.raises(DocumentFormatError):
-            simulate(program, library, NoiseModel.interaction(((0.0,),)))
+            SimulatedMachine(library, NoiseModel.interaction(((0.0,),))).measure(program)
 
     @pytest.mark.parametrize("kind", ["none", "uniform", "interaction"])
     def test_uncalibrated_block_raises_for_every_noise_kind(self, kind):
@@ -111,7 +112,7 @@ class TestSimulate:
             "interaction": NoiseModel.interaction(((0.0,),)),
         }[kind]
         with pytest.raises(IncompleteProfileError, match="block raw has no calibrated profile"):
-            simulate(ProxyProgram((("raw", 1),)), library, noise)
+            SimulatedMachine(library, noise).measure(ProxyProgram((("raw", 1),)))
 
     @pytest.mark.parametrize("noise", [
         NoiseModel.none(),
@@ -122,19 +123,15 @@ class TestSimulate:
     def test_unknown_block_raises_for_every_noise_kind(self, library, noise):
         program = ProxyProgram(((library.ids()[0], 1), ("x", 1)))
         with pytest.raises(UnresolvedBlockError, match="program references unknown block 'x'"):
-            simulate(program, library, noise)
+            SimulatedMachine(library, noise).measure(program)
 
     def test_miss_never_exceeds_access_under_noise(self, library, program):
         for seed in range(200):
-            noisy = simulate(program, library, NoiseModel.gaussian(0.5, seed=seed))
+            machine = SimulatedMachine(library, NoiseModel.gaussian(0.5, seed=seed))
+            noisy = machine.measure(program)
             for miss, access in MISS_ACCESS_PAIRS:
                 if miss in noisy.counts and access in noisy.counts:
                     assert noisy.counts[miss] <= noisy.counts[access]
-
-    def test_simulated_machine_wraps_simulate(self, library, program):
-        machine = SimulatedMachine(library, NoiseModel.uniform(0.02, seed=1))
-        assert machine.measure(program, nonce=7).counts == \
-            simulate(program, library, NoiseModel.uniform(0.02, seed=1), nonce=7).counts
 
 
 def scalar_draw_reference(program, library, noise, nonce):
@@ -169,7 +166,7 @@ class TestNoiseStream:
     @pytest.mark.parametrize("nonce", [0, 1, 10, -1])
     def test_simulate_equals_scalar_draws(self, library, program, noise, nonce):
         expected = scalar_draw_reference(program, library, noise, nonce)
-        assert simulate(program, library, noise, nonce).counts == expected
+        assert SimulatedMachine(library, noise).measure(program, nonce).counts == expected
 
     def test_partial_profiles_draw_for_present_events_only(self):
         counts = {"instructions": 100.0, "cycles": 150.0, "l1d_accesses": 40.0,
@@ -182,7 +179,7 @@ class TestNoiseStream:
         program = ProxyProgram((("p", 5000),))
         for seed in range(20):
             for noise in (NoiseModel.uniform(0.05, seed), NoiseModel.gaussian(0.3, seed)):
-                measured = simulate(program, library, noise, nonce=seed)
+                measured = SimulatedMachine(library, noise).measure(program, seed)
                 assert set(measured.counts) == set(counts)
                 assert measured.counts == scalar_draw_reference(program, library, noise, seed)
 
@@ -237,7 +234,8 @@ class TestInteractionModel:
         for program, noise in interaction_cases(library, 200, seed=1414):
             machine.noise = noise
             expected = interaction_reference(program, library, noise).counts
-            assert simulate(program, library, noise).counts == pytest.approx(expected, rel=1e-12)
+            fresh = SimulatedMachine(library, noise).measure(program)
+            assert fresh.counts == pytest.approx(expected, rel=1e-12)
             assert machine.measure(program).counts == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("matrix, entry", [
@@ -262,7 +260,8 @@ class TestInteractionModel:
         }, 1000)
         program = ProxyProgram((("a", 100),))
         with pytest.raises(DocumentFormatError, match="interaction matrix is 2x2, program has 1"):
-            simulate(program, library, NoiseModel.interaction(((0.0, 0.0), (0.0, 0.0))))
+            noise = NoiseModel.interaction(((0.0, 0.0), (0.0, 0.0)))
+            SimulatedMachine(library, noise).measure(program)
 
 
 class TestCountsDocuments:
@@ -339,12 +338,12 @@ class TestNonFiniteSigma:
 
 class TestSimulatedMachineModel:
     """The machine keeps the count model of the last block sequence; its
-    results must stay those of ``simulate``."""
+    results must stay those of a new machine, which has no model yet."""
 
     @pytest.mark.parametrize("noise", [
         NoiseModel.none(), NoiseModel.uniform(0.03, seed=5), NoiseModel.gaussian(0.02, seed=6),
     ], ids=lambda noise: noise.kind)
-    def test_equals_simulate_across_programs(self, library, noise):
+    def test_equals_a_new_machine_across_programs(self, library, noise):
         rng = np.random.default_rng(808)
         machine = SimulatedMachine(library, noise)
         first = sample_hidden_program(library, rng)
@@ -352,7 +351,7 @@ class TestSimulatedMachineModel:
                     first + first, ProxyProgram(), first]
         for nonce, program in enumerate(programs):
             assert machine.measure(program, nonce).counts == \
-                simulate(program, library, noise, nonce).counts
+                SimulatedMachine(library, noise).measure(program, nonce).counts
 
     def test_follows_a_replaced_library(self, library):
         program = ProxyProgram(((library.ids()[0], 1000),))
@@ -383,13 +382,11 @@ class TestSimulatedMachineModel:
         with pytest.raises(DocumentFormatError, match="l1d_misses=.* exceeds l1d_accesses"):
             predict_events(program, library)
         with pytest.raises(DocumentFormatError, match="l1d_misses=.* exceeds l1d_accesses"):
-            simulate(program, library, noise)
-        with pytest.raises(DocumentFormatError, match="l1d_misses=.* exceeds l1d_accesses"):
             SimulatedMachine(library, noise).measure(program)
 
     @pytest.mark.parametrize("blocks", [1, 2], ids=["huge_product", "huge_sum"])
     @pytest.mark.parametrize("kind", NOISE_KINDS)
-    @pytest.mark.parametrize("measure", ["simulate", "machine"])
+    @pytest.mark.parametrize("measure", ["new", "warm"])
     def test_overflowing_prediction_checked_before_noise(self, monkeypatch, kind, measure, blocks):
         # one block of 1e300 cycles per execution, run 1e10 times: a product
         # overflows to infinity.  Two blocks of 1e308 cycles, run once each:
@@ -408,6 +405,9 @@ class TestSimulatedMachineModel:
             "multiplicative_gaussian": NoiseModel.gaussian(0.1),
             "interaction": NoiseModel.interaction(((0.25,) * blocks,) * blocks),
         }[kind]
+        machine = SimulatedMachine(library, noise)
+        if measure == "warm":  # the machine keeps the count model of these blocks
+            machine.measure(program.scaled(0))
 
         def no_draw(*args):
             raise AssertionError("noise drawn for a prediction that fails its checks")
@@ -418,8 +418,5 @@ class TestSimulatedMachineModel:
             predict_events(program, library)
         assert str(error.value) == message
         with pytest.raises(DocumentFormatError) as error:
-            if measure == "simulate":
-                simulate(program, library, noise)
-            else:
-                SimulatedMachine(library, noise).measure(program)
+            machine.measure(program)
         assert str(error.value) == message

@@ -1,10 +1,10 @@
 """Refinement rounds against systems assembled from scratch.
 
-``align`` copies the working set's metric rows out of round 1's matrix once
-and reuses them in every refinement round.  Each round's system must equal,
-byte for byte, the one assembled from scratch over the working set, and
-solving the scratch system must reproduce the round's residual and count
-increments bit for bit.
+``align`` builds the metric rows over the library once, narrows them to the
+working set, and reuses them in every refinement round.  Each round's system
+must equal, byte for byte, the one assembled from rows built over the working
+set alone, and solving that system must reproduce the round's residual and
+count increments bit for bit.
 """
 
 import sys
@@ -15,6 +15,7 @@ import pytest
 from proxybench import AlignConfig, NoiseModel, SimulatedMachine, align
 from proxybench.solver import (
     BUDGET_ROW,
+    MetricRows,
     assemble_incremental_system,
     counts_from_solution,
     nnls,
@@ -69,9 +70,8 @@ def check_rounds_against_scratch(library, targets, config, noise, systems):
     for previous, record, system in zip(trace.rounds, trace.rounds[1:], systems):
         ids = record.program.block_ids()
         delta_ins = previous.measured.counts["instructions"] * config.growth
-        scratch = assemble_incremental_system(
-            library.subset(ids), targets, previous.measured, delta_ins
-        )
+        rows = MetricRows.of(library.subset(ids), targets)
+        scratch = assemble_incremental_system(rows, previous.measured, delta_ins)
         assert system.matrix.flags.c_contiguous
         for name in ("matrix", "rhs", "row_weights"):
             assert getattr(system, name).tobytes() == getattr(scratch, name).tobytes(), name

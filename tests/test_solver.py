@@ -20,6 +20,7 @@ from proxybench import (
 )
 from proxybench.blocks import BlockLibrary, make_arith_block
 from proxybench.errors import (
+    AlignmentError,
     EmptySelectionError,
     IncompleteProfileError,
     InvalidSystemError,
@@ -38,7 +39,6 @@ from proxybench.solver import (
     unreachable_rows,
     unreachable_targets,
 )
-from tests.conftest import hidden_targets
 from tests.conftest import hidden_targets, sample_hidden_program
 
 N0 = 10_000_000
@@ -136,7 +136,8 @@ def assert_kkt_certified(a, b, solution, tol):
 class TestAssembleInitial:
     def test_single_block_budget_only(self):
         library = library_of({"p1": {"instructions": 50.0, "cycles": 60.0}})
-        system = assemble_initial_system(library, TargetMetrics({}), ins1=500.0)
+        rows = MetricRows.of(library, TargetMetrics({}))
+        system = assemble_initial_system(rows, ins1=500.0)
         assert system.matrix.shape == (1, 1)
         assert system.row_labels == ("budget",)
         solution = nnls(system, tol=1e-12)
@@ -150,7 +151,7 @@ class TestAssembleInitial:
             }
         )
         targets = TargetMetrics({"cpi": 1.5})  # exactly block p1's CPI
-        system = assemble_initial_system(library, targets, ins1=1000.0)
+        system = assemble_initial_system(MetricRows.of(library, targets), ins1=1000.0)
         assert system.matrix[0, 0] == 0.0
         assert system.matrix[0, 1] == 400.0 - 1.5 * 100.0
 
@@ -166,7 +167,7 @@ class TestAssembleInitial:
             "fp_ratio": 0.04, "int_ratio": 0.4, "vec_ratio": 0.02,
         }
         targets = TargetMetrics(target_values)
-        system = assemble_initial_system(library, targets, ins1=1e6)
+        system = assemble_initial_system(MetricRows.of(library, targets), ins1=1e6)
         assert system.matrix.shape == (15, 3)
         assert system.col_labels == ("a", "b", "c")
         for i, definition in enumerate(targets.definitions()):
@@ -183,7 +184,7 @@ class TestAssembleInitial:
     def test_missing_event_names_block_and_event(self):
         library = library_of({"p1": {"instructions": 10.0}})
         with pytest.raises(IncompleteProfileError, match="p1.*cycles"):
-            assemble_initial_system(library, TargetMetrics({"cpi": 1.0}), 100.0)
+            MetricRows.of(library, TargetMetrics({"cpi": 1.0}))
 
     def test_missing_event_reported_first_in_metric_then_block_order(self):
         library = library_of({
@@ -195,13 +196,13 @@ class TestAssembleInitial:
         )
         targets = TargetMetrics({"cpi": 1.0, "branch_miss_rate": 0.1})
         with pytest.raises(IncompleteProfileError) as err:
-            assemble_initial_system(library, targets, 100.0)
+            MetricRows.of(library, targets)
         assert str(err.value) == "block p2 lacks event cycles needed by metric cpi"
         with pytest.raises(IncompleteProfileError) as err:
-            assemble_initial_system(library.subset(["p1"]), targets, 100.0)
+            MetricRows.of(library.subset(["p1"]), targets)
         assert str(err.value) == "block p1 lacks event branch_misses needed by metric branch_miss_rate"
         with pytest.raises(IncompleteProfileError) as err:
-            assemble_initial_system(uncalibrated, TargetMetrics({}), 100.0)
+            MetricRows.of(uncalibrated, TargetMetrics({}))
         assert str(err.value) == "block raw lacks event instructions needed by metric budget"
 
     def test_row_weights_match_a_left_to_right_reference(self, library, rng):
@@ -211,7 +212,7 @@ class TestAssembleInitial:
 
         _, targets, _ = hidden_targets(library, rng)
         ins1 = 5e6
-        system = assemble_initial_system(library, targets, ins1)
+        system = assemble_initial_system(MetricRows.of(library, targets), ins1)
         for i, definition in enumerate(targets.definitions()):
             rates = [
                 spec.profile.counts[definition.denominator] / spec.profile.counts["instructions"]
@@ -223,7 +224,7 @@ class TestAssembleInitial:
     def test_nonpositive_budget_rejected(self):
         library = library_of({"p1": {"instructions": 10.0}})
         with pytest.raises(InvalidSystemError):
-            assemble_initial_system(library, TargetMetrics({}), 0.0)
+            assemble_initial_system(MetricRows.of(library, TargetMetrics({})), 0.0)
 
 
 class TestAssembleIncremental:
@@ -239,7 +240,7 @@ class TestAssembleIncremental:
     def test_on_target_measurement_zeroes_rhs(self, library):
         targets = TargetMetrics({"cpi": 2.0})
         measured = MeasurementResult({"instructions": 1000.0, "cycles": 2000.0})
-        system = assemble_incremental_system(library, targets, measured, 100.0)
+        system = assemble_incremental_system(MetricRows.of(library, targets), measured, 100.0)
         assert system.rhs[0] == 0.0
         assert system.rhs[1] == 100.0
 
@@ -248,7 +249,7 @@ class TestAssembleIncremental:
         # matching the symbolic expansion of the incremental rows
         targets = TargetMetrics({"cpi": 2.0})
         measured = MeasurementResult({"instructions": 1000.0, "cycles": 1500.0})
-        system = assemble_incremental_system(library, targets, measured, 100.0)
+        system = assemble_incremental_system(MetricRows.of(library, targets), measured, 100.0)
         assert system.rhs[0] == 2.0 * 1000.0 - 1500.0
         assert system.rhs[0] > 0
 
@@ -256,14 +257,15 @@ class TestAssembleIncremental:
         targets = TargetMetrics({"cpi": 2.0})
         measured = MeasurementResult({"instructions": 12_345.0, "cycles": 24_000.0})
         delta = measured.counts["instructions"] * 0.2
-        system = assemble_incremental_system(library, targets, measured, delta)
+        system = assemble_incremental_system(MetricRows.of(library, targets), measured, delta)
         assert system.rhs[-1] == pytest.approx(2469.0)
 
     def test_coefficients_match_initial_system(self, library):
         targets = TargetMetrics({"cpi": 2.0})
         measured = MeasurementResult({"instructions": 1000.0, "cycles": 1500.0})
-        incremental = assemble_incremental_system(library, targets, measured, 100.0)
-        initial = assemble_initial_system(library, targets, 100.0)
+        rows = MetricRows.of(library, targets)
+        incremental = assemble_incremental_system(rows, measured, 100.0)
+        initial = assemble_initial_system(rows, 100.0)
         assert np.array_equal(incremental.matrix, initial.matrix)
 
     def test_unreachable_row_flagged(self, library):
@@ -271,12 +273,12 @@ class TestAssembleIncremental:
         # CPI): no nonnegative increment can lower the ratio, so flag the row
         targets = TargetMetrics({"cpi": 5.0})
         measured = MeasurementResult({"instructions": 100.0, "cycles": 50_000.0})
-        system = assemble_incremental_system(library, targets, measured, 10.0)
+        system = assemble_incremental_system(MetricRows.of(library, targets), measured, 10.0)
         assert system.rhs[0] < 0
         assert unreachable_rows(system) == ()  # negative columns: reachable
         targets = TargetMetrics({"cpi": 1.0})
         measured = MeasurementResult({"instructions": 1000.0, "cycles": 2000.0})
-        system = assemble_incremental_system(library, targets, measured, 10.0)
+        system = assemble_incremental_system(MetricRows.of(library, targets), measured, 10.0)
         assert system.rhs[0] < 0  # blocks only add CPI >= 1.5: flagged
         assert unreachable_rows(system) == ("cpi",)
 
@@ -424,7 +426,7 @@ class TestNnls:
 
         # large counts keep integer rounding of the reconstruction below 1e-6
         hidden, targets, ins1 = hidden_targets(library, rng, lo=2_000_000, hi=20_000_000)
-        system = assemble_initial_system(library, targets, ins1)
+        system = assemble_initial_system(MetricRows.of(library, targets), ins1)
         solution = nnls(system, tol=1e-12)
         b_norm = np.linalg.norm(system.rhs * system.row_weights)
         assert solution.residual_norm <= 1e-6 * b_norm
@@ -445,7 +447,7 @@ class TestNnls:
             }
         )
         targets = TargetMetrics({"cpi": 1.5})
-        system = assemble_initial_system(library, targets, ins1=1000.0)
+        system = assemble_initial_system(MetricRows.of(library, targets), ins1=1000.0)
         assert np.all(system.matrix[0] == 0.0)
         program = ProxyProgram((("p1", 3 * N0), ("p2", 2 * N0)))
         predicted = predict_events(program, library)
@@ -473,7 +475,7 @@ class TestSelection:
         from tests.conftest import hidden_targets, sample_hidden_program
 
         _, targets, ins1 = hidden_targets(library, rng)
-        system = assemble_initial_system(library, targets, ins1)
+        system = assemble_initial_system(MetricRows.of(library, targets), ins1)
         solution = nnls(system, tol=1e-12)
         kept = select_blocks(solution, library, eps=1e-6 * float(np.max(solution.x)))
         assert 0 < len(kept) < len(library)
@@ -494,35 +496,58 @@ class TestCounts:
 
 
 class TestMetricRows:
-    def test_rows_of_round_one_give_the_scratch_system(self, library, rng):
-        _, targets, ins1 = hidden_targets(library, rng)
-        initial = assemble_initial_system(library, targets, ins1)
+    def test_columns_of_the_library_rows_are_the_working_set_rows(self, library, rng):
+        _, targets, _ = hidden_targets(library, rng)
         ids = library.ids()[3:12:2]
-        rows = MetricRows.of(initial, targets, ids)
-        assert rows.matrix.flags.c_contiguous
-        assert not rows.matrix.flags.writeable
-        working = library.subset(ids)
+        narrowed = MetricRows.of(library, targets).columns(ids)
+        scratch = MetricRows.of(library.subset(ids), targets)
+        for rows in (narrowed, scratch):
+            for name in ("matrix", "denominators"):
+                assert getattr(rows, name).flags.c_contiguous
+                assert not getattr(rows, name).flags.writeable
         measured = predict_events(sample_hidden_program(library, rng), library)
-        hoisted = assemble_incremental_system(working, targets, measured, 1e5, rows=rows)
-        scratch = assemble_incremental_system(working, targets, measured, 1e5)
-        for name in ("matrix", "rhs", "row_weights"):
-            assert getattr(hoisted, name).tobytes() == getattr(scratch, name).tobytes()
-        assert hoisted.row_labels == scratch.row_labels
-        assert hoisted.col_labels == scratch.col_labels == ids
-        assert hoisted.sign_pattern[0].tolist() == np.all(scratch.matrix <= 0, axis=1).tolist()
-        assert hoisted.sign_pattern[1].tolist() == np.all(scratch.matrix >= 0, axis=1).tolist()
+        for hoisted, fresh in (
+            (assemble_initial_system(narrowed, 1e5), assemble_initial_system(scratch, 1e5)),
+            (assemble_incremental_system(narrowed, measured, 1e5),
+             assemble_incremental_system(scratch, measured, 1e5)),
+        ):
+            for name in ("matrix", "rhs", "row_weights"):
+                assert getattr(hoisted, name).tobytes() == getattr(fresh, name).tobytes()
+            assert hoisted.row_labels == fresh.row_labels
+            assert hoisted.col_labels == fresh.col_labels == ids
+            assert hoisted.sign_pattern[0].tolist() == np.all(fresh.matrix <= 0, axis=1).tolist()
+            assert hoisted.sign_pattern[1].tolist() == np.all(fresh.matrix >= 0, axis=1).tolist()
 
-    def test_rows_for_other_blocks_or_targets_rejected(self, library, rng):
-        _, targets, ins1 = hidden_targets(library, rng)
-        initial = assemble_initial_system(library, targets, ins1)
-        ids = library.ids()[:5]
-        rows = MetricRows.of(initial, targets, ids)
-        measured = predict_events(sample_hidden_program(library, rng), library)
-        with pytest.raises(InvalidSystemError, match="other blocks or targets"):
-            assemble_incremental_system(library.subset(ids[:4]), targets, measured, 1.0, rows=rows)
-        other = TargetMetrics({"cpi": targets.targets["cpi"]})
-        with pytest.raises(InvalidSystemError, match="other blocks or targets"):
-            assemble_incremental_system(library.subset(ids), other, measured, 1.0, rows=rows)
+    def test_denominators_are_the_profile_counts(self, library, rng):
+        _, targets, _ = hidden_targets(library, rng)
+        rows = MetricRows.of(library, targets)
+        for i, definition in enumerate(targets.definitions()):
+            assert rows.denominators[i].tolist() == [
+                spec.profile.counts[definition.denominator] for spec in library.blocks.values()
+            ]
+
+    def test_a_library_without_blocks_is_an_error(self):
+        for targets in (TargetMetrics({}), TargetMetrics({"cpi": 1.5})):
+            with pytest.raises(InvalidSystemError, match="the library has no blocks"):
+                MetricRows.of(BlockLibrary({}, N0), targets)
+        with pytest.raises(AlignmentError, match="round 1: the library has no blocks"):
+            align(BlockLibrary({}, N0), TargetMetrics({"cpi": 1.5}))
+
+    def test_align_builds_rows_from_the_library_once(self, library, rng, monkeypatch):
+        # every refinement round reuses the rows round 1 narrowed
+        built = []
+        of = MetricRows.of.__func__
+
+        def counted(cls, *args):
+            built.append(args)
+            return of(cls, *args)
+
+        monkeypatch.setattr(MetricRows, "of", classmethod(counted))
+        _, targets, _ = hidden_targets(library, rng)
+        machine = SimulatedMachine(library, NoiseModel.uniform(0.03, seed=5))
+        _, trace = align(library, targets, AlignConfig(rounds=6, ins1=5e6), machine)
+        assert len(trace.rounds) == 6
+        assert built == [(library, targets)]
 
 
 class TestEmptiedPassiveSet:
