@@ -67,7 +67,6 @@ from .report import (
     load_report,
     mean_abs_rel_error,
     pearson,
-    report_table,
 )
 from .solver import (
     LinearSystem,

@@ -137,6 +137,12 @@ def align(
         rows = MetricRows.of(library, targets)
         system = assemble_initial_system(rows, config.ins1)
         solution = _certified(nnls(system, config.tol, config.max_iter), round_index)
+        if not solution.x.any():
+            raise AlignmentError(
+                "the solve certified x = 0, so no block would run "
+                f"(residual {solution.residual_norm!r})",
+                round_index,
+            )
         eps = config.prune_eps * float(max(solution.x, default=0.0))
         working = select_blocks(solution, library, eps)
         rows = rows.columns(working.ids())

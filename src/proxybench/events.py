@@ -342,10 +342,6 @@ class ProxyProgram:
     def __add__(self, other: "ProxyProgram") -> "ProxyProgram":
         return ProxyProgram(self.entries + other.entries)
 
-    @property
-    def runnable(self) -> bool:
-        return any(n > 0 for _, n in self.entries)
-
     def block_ids(self) -> tuple[str, ...]:
         return tuple(b for b, _ in self.entries)
 
@@ -354,8 +350,9 @@ class ProfileRows:
     """The linear count model of one block sequence.
 
     Holds the profile rows of the sequence's distinct blocks, absent events
-    as zero, and the events any of them profiles.  Predicting a program over
-    the same sequence then only scales these rows by its execution counts.
+    as zero, their rows in the library, and the events any of them profiles.
+    Predicting a program over the same sequence then only scales these rows
+    by its execution counts.
     """
 
     def __init__(self, block_ids: tuple[str, ...], library):
@@ -373,22 +370,20 @@ class ProfileRows:
         present = ~absent.all(axis=0)
         self.library = library
         self.block_ids = tuple(block_ids)
+        self._rows = rows
         self.events = tuple(event for event, seen in zip(EVENTS, present.tolist()) if seen)
         self._merge = len(distinct) != len(block_ids)
         self._counts = np.where(absent, 0.0, counts)[:, present]
         self._n0 = float(library.n0)
 
-    def size(self) -> int:
-        """The number of distinct blocks, in the order of the model's rows."""
-        return len(self._counts)
-
     def predict(self, program: ProxyProgram, interaction=None) -> dict[str, float]:
         """Predicted counts of ``program``, whose block ids must be this
         model's sequence, per present event in canonical order.
 
-        An ``interaction`` matrix over the distinct blocks scales block j's
-        executions by max(0, 1 + sum_k M[j][k] * share_k), where share_k is
-        block k's part of the predicted instructions."""
+        An ``interaction`` matrix over the library's blocks scales block j's
+        executions by max(0, 1 + sum_k M[j][k] * share_k), where k runs over
+        the program's distinct blocks and share_k is block k's part of the
+        predicted instructions."""
         entries = program.merged().entries if self._merge else program.entries
         executions = np.array([n for _, n in entries], dtype=float)
         n0 = self._n0
@@ -396,10 +391,11 @@ class ProfileRows:
         # zero count, fails the finiteness check of the counts; a NaN factor
         # counts as 0
         with np.errstate(over="ignore", invalid="ignore"):
-            if interaction:  # None, or () for a program of no blocks
+            if interaction is not None and self._rows:
                 instructions = self._counts[:, self.events.index("instructions")] * executions / n0
                 shares = instructions / (sum(instructions.tolist()) or 1.0)
-                executions *= np.fmax(1.0 + np.asarray(interaction) @ shares, 0.0)
+                gathered = interaction[np.ix_(self._rows, self._rows)]
+                executions *= np.fmax(1.0 + gathered @ shares, 0.0)
             products = self._counts * executions[:, None]
         columns = products.T.tolist()
         try:

@@ -5,8 +5,9 @@ event counts.  ``SimulatedMachine`` stands in for hardware at desk scale:
 it predicts counts with the linear count model and perturbs them with a
 configurable noise model, either independent per-event factors, mirroring
 the few-percent run-to-run variation real counters show, or a systematic
-interaction between the program's blocks.  Externally
-collected counter data enters through the ``.counts`` text format instead.
+interaction between library blocks, whose one matrix serves every program.
+Externally collected counter data enters through the ``.counts`` text format
+instead.
 
 Counts format: one ``event=value`` pair per line, ``#`` comment lines,
 decimal integers or scientific-notation reals.  To convert ``perf stat -x,``
@@ -49,7 +50,7 @@ class NoiseModel:
     kind: str = "none"
     epsilon: float = 0.0
     sigma: float = 0.0
-    matrix: tuple[tuple[float, ...], ...] | None = None
+    matrix: np.ndarray | None = None  # interaction, read-only: library x library blocks
     seed: int = 0
 
     def __post_init__(self):
@@ -62,16 +63,20 @@ class NoiseModel:
         if self.kind == "interaction":
             if self.matrix is None:
                 raise DocumentFormatError("interaction noise needs a matrix")
-            rows = tuple(tuple(float(v) for v in row) for row in self.matrix)
-            if any(len(row) != len(rows) for row in rows):
+            size = len(self.matrix)
+            if any(len(row) != size for row in self.matrix):
                 raise DocumentFormatError("interaction matrix must be square")
-            for r, row in enumerate(rows):
-                for c, v in enumerate(row):
-                    if not (math.isfinite(v) and v >= -0.5):
-                        raise DocumentFormatError(
-                            f"interaction entry [{r}][{c}] must be finite and >= -0.5, got {v}"
-                        )
-            object.__setattr__(self, "matrix", rows)
+            matrix = np.array(self.matrix, dtype=float).reshape(size, size)
+            # NaN fails both comparisons; argmax names the first bad entry, row-major
+            bad = ~((matrix >= -0.5) & (matrix < math.inf))
+            if bad.any():
+                r, c = divmod(int(bad.argmax()), size)
+                raise DocumentFormatError(
+                    f"interaction entry [{r}][{c}] must be finite and >= -0.5, "
+                    f"got {float(matrix[r, c])}"
+                )
+            matrix.flags.writeable = False
+            object.__setattr__(self, "matrix", matrix)
 
     @staticmethod
     def none() -> "NoiseModel":
@@ -87,7 +92,7 @@ class NoiseModel:
 
     @staticmethod
     def interaction(matrix, seed: int = 0) -> "NoiseModel":
-        return NoiseModel("interaction", matrix=tuple(tuple(row) for row in matrix), seed=seed)
+        return NoiseModel("interaction", matrix=matrix, seed=seed)
 
 
 def _clamp_miss_pairs(counts: dict[str, float]) -> dict[str, float]:
@@ -130,10 +135,10 @@ class SimulatedMachine:
         block_ids = program.block_ids()
         if model is None or model.library is not self.library or model.block_ids != block_ids:
             model = self._model = ProfileRows(block_ids, self.library)
-        if noise.kind == "interaction" and len(noise.matrix) != model.size():
+        if noise.kind == "interaction" and len(noise.matrix) != len(self.library):
             raise DocumentFormatError(
                 f"interaction matrix is {len(noise.matrix)}x{len(noise.matrix)}, "
-                f"program has {model.size()} blocks"
+                f"library has {len(self.library)} blocks"
             )
         predicted = model.predict(program)
         if noise.kind == "none":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -99,17 +99,13 @@ class AccuracyReport:
 
 
 def build_report(
-    targets: TargetMetrics,
-    trace,
-    definitions: Sequence[MetricDefinition] | None = None,
-    metadata: Mapping | None = None,
+    targets: TargetMetrics, trace, metadata: Mapping | None = None
 ) -> AccuracyReport:
     """Score the final round of an alignment trace against its targets."""
     if not trace.rounds:
         raise IncompleteReportError("trace has no rounds")
     final = trace.rounds[-1]
-    if definitions is None:
-        definitions = targets.definitions()
+    definitions = targets.definitions()
     per_metric: dict[str, float] = {}
     rows = []
     for definition in definitions:
@@ -124,14 +120,6 @@ def build_report(
     meta = dict(metadata or {})
     meta.setdefault("rounds", len(trace.rounds))
     return AccuracyReport(per_metric, per_category, tuple(rows), meta)
-
-
-def report_table(report: AccuracyReport) -> str:
-    """Plot-ready TSV: metric, target, measured, accuracy, category."""
-    lines = ["metric\ttarget\tmeasured\taccuracy\tcategory"]
-    for metric, target, measured, value, category in report.table:
-        lines.append(f"{metric}\t{target!r}\t{measured!r}\t{value!r}\t{category}")
-    return "\n".join(lines) + "\n"
 
 
 REPORT = {

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from proxybench import (
     METRICS,
     ProxyProgram,
     SimulatedMachine,
+    TargetMetrics,
     compute_all_metrics,
     default_library,
     dump_program,
@@ -212,6 +214,28 @@ class TestTargetChecks:
                 "--out", str(tmp_path / f"out{i}"), "--rounds", "2", "--ins1", str(ins1),
             ]) == 0
             assert capsys.readouterr().err == ""
+
+    def test_all_zero_round_one_solve_names_its_cause(self, library_path, library, tmp_path, capsys):
+        # under a 1e21-instruction budget the cold round-1 solve certifies
+        # x = 0: no block is pruned, none was chosen
+        hidden = ProxyProgram((("mem_stride64", 50_000), ("br_t512", 80_000),
+                               ("mix_div8", 30_000), ("fpmix_add16", 20_000)))
+        targets = TargetMetrics(compute_all_metrics(predict_events(hidden, library), METRICS))
+        targets_file = tmp_path / "targets.json"
+        targets_file.write_text(dump_targets(targets))
+        out_dir = tmp_path / "out"
+        assert main([
+            "align", str(targets_file), "--library", str(library_path), "--out", str(out_dir),
+            "--noise", "none", "--ins1", "1e21",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(
+            r"error: round 1: the solve certified x = 0, so no block would run "
+            r"\(residual \d+\.\d+\)\n",
+            captured.err,
+        ), captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     def test_empty_targets_give_an_error_line(self, library_path, tmp_path, capsys):
         targets_file = tmp_path / "targets.json"

@@ -86,21 +86,25 @@ class TestSimulate:
         assert noisy.counts == predict_events(program, library).counts
 
     def test_zero_interaction_equals_prediction(self, library, program):
-        m = len(program.entries)
-        matrix = tuple(tuple(0.0 for _ in range(m)) for _ in range(m))
+        matrix = np.zeros((len(library), len(library)))
         noisy = SimulatedMachine(library, NoiseModel.interaction(matrix)).measure(program)
         assert noisy.counts == pytest.approx(predict_events(program, library).counts)
 
     def test_interaction_scales_by_instruction_share(self, library):
-        # one block, self-interaction 0.5: every event scaled by 1.5
+        # one block, self-interaction 0.5: every event scaled by 1.5; the
+        # entries of blocks the program does not run are never read
         program = ProxyProgram((("mem_stride64", 10_000),))
-        noisy = SimulatedMachine(library, NoiseModel.interaction(((0.5,),))).measure(program)
+        row = library.row_index["mem_stride64"]
+        matrix = np.full((len(library), len(library)), 2.0)
+        matrix[row, row] = 0.5
+        noisy = SimulatedMachine(library, NoiseModel.interaction(matrix)).measure(program)
         predicted = predict_events(program, library)
         for event, value in predicted.counts.items():
             assert noisy.counts[event] == pytest.approx(1.5 * value, rel=1e-12)
 
     def test_interaction_dimension_mismatch(self, library, program):
-        with pytest.raises(DocumentFormatError):
+        with pytest.raises(DocumentFormatError,
+                           match=f"interaction matrix is 1x1, library has {len(library)} blocks"):
             SimulatedMachine(library, NoiseModel.interaction(((0.0,),))).measure(program)
 
     @pytest.mark.parametrize("kind", ["none", "uniform", "interaction"])
@@ -184,9 +188,10 @@ class TestNoiseStream:
                 assert measured.counts == scalar_draw_reference(program, library, noise, seed)
 
 
-def interaction_reference(program, library, noise):
+def interaction_reference(program, library, matrix):
     """The interaction model as a walk over profile dicts, the form it had
-    before it moved onto ``events.ProfileRows``; it pins the semantics."""
+    before it moved onto ``events.ProfileRows``; it pins the semantics.
+    ``matrix`` is indexed by position among the program's distinct blocks."""
     merged = program.merged()
     n0 = float(library.n0)
     contributions = []
@@ -198,17 +203,13 @@ def interaction_reference(program, library, noise):
             {e: c * executions / n0 for e, c in profile.counts.items()}
         )
     m = len(contributions)
-    if len(noise.matrix) != m:
-        raise DocumentFormatError(
-            f"interaction matrix is {len(noise.matrix)}x{len(noise.matrix)}, "
-            f"program has {m} blocks"
-        )
+    assert len(matrix) == m
     instr = [c.get("instructions", 0.0) for c in contributions]
     total = sum(instr) or 1.0
     shares = [v / total for v in instr]
     counts: dict[str, float] = {}
     for j, contribution in enumerate(contributions):
-        factor = 1.0 + sum(noise.matrix[j][k] * shares[k] for k in range(m))
+        factor = 1.0 + sum(matrix[j][k] * shares[k] for k in range(m))
         for event, value in contribution.items():
             counts[event] = counts.get(event, 0.0) + max(0.0, factor) * value
     return MeasurementResult(_clamp_miss_pairs(counts), provenance="simulated")
@@ -216,7 +217,8 @@ def interaction_reference(program, library, noise):
 
 def interaction_cases(library, count, seed):
     """Seeded programs, with repeated block ids and some zero executions,
-    each with a random interaction matrix over its distinct blocks."""
+    each with a random interaction matrix indexed by position among its
+    distinct blocks."""
     rng = np.random.default_rng(seed)
     ids = library.ids()
     for _ in range(count):
@@ -225,15 +227,27 @@ def interaction_cases(library, count, seed):
             (str(b), int(rng.integers(0, 200_000)) * int(rng.random() < 0.9)) for b in chosen
         ))
         m = len(program.merged().entries)
-        yield program, NoiseModel.interaction(rng.uniform(-0.5, 1.0, size=(m, m)).tolist())
+        yield program, rng.uniform(-0.5, 1.0, size=(m, m)).tolist()
+
+
+def embedded(matrix, program, library, rng):
+    """The library-keyed matrix that holds ``matrix``, indexed by position
+    among ``program``'s distinct blocks, at their rows and columns; its
+    other entries are random."""
+    rows = [library.row_index[block_id] for block_id, _ in program.merged().entries]
+    keyed = rng.uniform(-0.5, 1.0, size=(len(library), len(library)))
+    keyed[np.ix_(rows, rows)] = matrix
+    return keyed
 
 
 class TestInteractionModel:
     def test_equals_the_profile_dict_reference(self, library):
+        rng = np.random.default_rng(1415)
         machine = SimulatedMachine(library)
-        for program, noise in interaction_cases(library, 200, seed=1414):
+        for program, matrix in interaction_cases(library, 200, seed=1414):
+            noise = NoiseModel.interaction(embedded(matrix, program, library, rng))
             machine.noise = noise
-            expected = interaction_reference(program, library, noise).counts
+            expected = interaction_reference(program, library, matrix).counts
             fresh = SimulatedMachine(library, noise).measure(program)
             assert fresh.counts == pytest.approx(expected, rel=1e-12)
             assert machine.measure(program).counts == pytest.approx(expected, rel=1e-12)
@@ -259,7 +273,7 @@ class TestInteractionModel:
                 EventProfile({"instructions": 10.0, "l1d_misses": 5.0}, 1000)),
         }, 1000)
         program = ProxyProgram((("a", 100),))
-        with pytest.raises(DocumentFormatError, match="interaction matrix is 2x2, program has 1"):
+        with pytest.raises(DocumentFormatError, match="interaction matrix is 2x2, library has 1 blocks"):
             noise = NoiseModel.interaction(((0.0, 0.0), (0.0, 0.0)))
             SimulatedMachine(library, noise).measure(program)
 
@@ -340,11 +354,17 @@ class TestSimulatedMachineModel:
     """The machine keeps the count model of the last block sequence; its
     results must stay those of a new machine, which has no model yet."""
 
-    @pytest.mark.parametrize("noise", [
-        NoiseModel.none(), NoiseModel.uniform(0.03, seed=5), NoiseModel.gaussian(0.02, seed=6),
-    ], ids=lambda noise: noise.kind)
-    def test_equals_a_new_machine_across_programs(self, library, noise):
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_equals_a_new_machine_across_programs(self, library, kind):
+        # one library-keyed interaction matrix serves every program
         rng = np.random.default_rng(808)
+        noise = {
+            "none": NoiseModel.none(),
+            "multiplicative_uniform": NoiseModel.uniform(0.03, seed=5),
+            "multiplicative_gaussian": NoiseModel.gaussian(0.02, seed=6),
+            "interaction": NoiseModel.interaction(
+                np.random.default_rng(809).uniform(-0.3, 0.3, (len(library),) * 2)),
+        }[kind]
         machine = SimulatedMachine(library, noise)
         first = sample_hidden_program(library, rng)
         programs = [first, first.scaled(3), sample_hidden_program(library, rng), first,

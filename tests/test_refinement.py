@@ -4,7 +4,8 @@
 working set, and reuses them in every refinement round.  Each round's system
 must equal, byte for byte, the one assembled from rows built over the working
 set alone, and solving that system must reproduce the round's residual and
-count increments bit for bit.
+count increments bit for bit.  Under systematic measurement error the rounds
+must also pay: the final round scores better than the first.
 """
 
 import sys
@@ -117,3 +118,23 @@ def test_generated_library_rounds_equal_scratch_systems(
         check_rounds_against_scratch(
             wide_library, targets, config, NOISES[noise](seed), recorded_systems
         )
+
+
+def test_rounds_correct_systematic_error(library):
+    """The reason the loop iterates: counts that drift from the linear
+    prediction in a systematic way.  One library-keyed interaction matrix
+    skews every hidden program's proxy; refinement must recover it.  The
+    bounds were set from the first measurement, a mean worst-metric
+    accuracy of 0.919 after round 1 and 0.987 after round 10."""
+    rng = np.random.default_rng(20231115)
+    matrix = np.random.default_rng(1977).uniform(-0.3, 0.3, (len(library), len(library)))
+    machine = SimulatedMachine(library, NoiseModel.interaction(matrix))
+    first, last = [], []
+    for _ in range(20):
+        _, targets, ins = hidden_targets(library, rng)
+        _, trace = align(library, targets, AlignConfig(rounds=10, ins1=ins), machine)
+        assert len(trace.rounds) == 10
+        first.append(min(trace.rounds[0].accuracy.values()))
+        last.append(min(trace.rounds[-1].accuracy.values()))
+    assert np.mean(last) >= 0.97
+    assert np.mean(last) - np.mean(first) >= 0.04

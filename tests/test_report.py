@@ -25,7 +25,6 @@ from proxybench.report import (
     ComparisonSeries,
     dump_report,
     load_report,
-    report_table,
 )
 from tests.conftest import hidden_targets
 
@@ -203,12 +202,3 @@ class TestBuildReport:
         report = build_report(targets, trace, metadata={"seed": 9})
         text = dump_report(report)
         assert dump_report(load_report(text)) == text
-
-    def test_table_is_tab_separated(self, run):
-        targets, trace = run
-        table = report_table(build_report(targets, trace))
-        lines = table.splitlines()
-        assert lines[0] == "metric\ttarget\tmeasured\taccuracy\tcategory"
-        assert len(lines) == 1 + len(targets.targets)
-        for line in lines[1:]:
-            assert len(line.split("\t")) == 5
