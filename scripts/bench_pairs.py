@@ -100,9 +100,10 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     * "gain": the change reads better in at least ``GAIN_SHARE`` of the
       pairs, ties counting for neither, and its median is better by more than
       the distance between the parent's quartiles;
-    * "regression": its median is worse by more than the bound;
     * "unresolved": the parent's quartiles lie further apart than the bound,
-      and not every change run reads better than every parent run;
+      and the change's runs and the parent's overlap: neither every change
+      run reads better nor every one reads worse than every parent run;
+    * "regression": its median is worse by more than the bound;
     * "no regression": every other case."""
     sign = 1 if better == "higher" else -1
     base = quartiles(parent)
@@ -112,10 +113,12 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     limit = bound * abs(base["median"])
     if wins >= GAIN_SHARE * len(parent) and gap > spread:
         return "gain"
+    ours, theirs = [sign * c for c in change], [sign * p for p in parent]
+    apart = min(ours) > max(theirs) or max(ours) < min(theirs)
+    if spread > limit and not apart:
+        return "unresolved"
     if -gap > limit:
         return "regression"
-    if spread > limit and not min(sign * c for c in change) > max(sign * p for p in parent):
-        return "unresolved"
     return "no regression"
 
 

@@ -21,7 +21,6 @@ from .events import (
     NUMBERS,
     PROGRAM,
     MeasurementResult,
-    MetricDefinition,
     ProxyProgram,
     TargetMetrics,
     compute_all_metrics,
@@ -105,16 +104,6 @@ def _certified(solution: NnlsSolution, round_index: int) -> NnlsSolution:
     return solution
 
 
-def _score(
-    measured: MeasurementResult,
-    targets: TargetMetrics,
-    definitions: tuple[MetricDefinition, ...],
-) -> tuple[dict[str, float], dict[str, float]]:
-    metrics = compute_all_metrics(measured, definitions)
-    accuracies = {m: accuracy(targets.targets[m], metrics[m]) for m in metrics}
-    return metrics, accuracies
-
-
 def align(
     library,
     targets: TargetMetrics,
@@ -152,43 +141,32 @@ def align(
         # from its passive set; round 1 starts cold, as least squares over
         # more columns than rows is underdetermined
         start = [True] * len(working)
-        measured = measurer.measure(program, nonce=1)
-        metrics, accuracies = _score(measured, targets, definitions)
-        records.append(
-            RoundRecord(1, program, measured, metrics, accuracies, solution.residual_norm)
-        )
-
-        for round_index in range(2, config.rounds + 1):
+        flagged = ()
+        for round_index in range(1, config.rounds + 1):
+            if round_index > 1:
+                delta_ins = measured.counts["instructions"] * config.growth
+                system = assemble_incremental_system(rows, measured, delta_ins)
+                flagged = unreachable_rows(system)
+                solution = _certified(
+                    nnls(system, config.tol, config.max_iter, start=start), round_index
+                )
+                increments = counts_from_solution(solution, library.n0)
+                program = ProxyProgram(
+                    tuple(
+                        (block_id, executions + delta)
+                        for (block_id, executions), delta in zip(program.entries, increments)
+                    )
+                )
+            measured = measurer.measure(program, nonce=round_index)
+            metrics = compute_all_metrics(measured, definitions)
+            accuracies = {m: accuracy(targets.targets[m], metrics[m]) for m in metrics}
+            records.append(RoundRecord(
+                round_index, program, measured, metrics, accuracies, solution.residual_norm, flagged
+            ))
             if config.stop_threshold is not None and all(
-                v >= config.stop_threshold for v in records[-1].accuracy.values()
+                v >= config.stop_threshold for v in accuracies.values()
             ):
                 break
-            delta_ins = measured.counts["instructions"] * config.growth
-            system = assemble_incremental_system(rows, measured, delta_ins)
-            flagged = unreachable_rows(system)
-            solution = _certified(
-                nnls(system, config.tol, config.max_iter, start=start), round_index
-            )
-            increments = counts_from_solution(solution, library.n0)
-            program = ProxyProgram(
-                tuple(
-                    (block_id, executions + delta)
-                    for (block_id, executions), delta in zip(program.entries, increments)
-                )
-            )
-            measured = measurer.measure(program, nonce=round_index)
-            metrics, accuracies = _score(measured, targets, definitions)
-            records.append(
-                RoundRecord(
-                    round_index,
-                    program,
-                    measured,
-                    metrics,
-                    accuracies,
-                    solution.residual_norm,
-                    flagged,
-                )
-            )
     except AlignmentError:
         raise
     except ProxyBenchError as exc:

@@ -46,9 +46,9 @@ _NOISE_LEVELS = {"uniform": (NoiseModel.uniform, 0.03), "gaussian": (NoiseModel.
 
 
 def _parse_noise(spec: str, seed: int) -> NoiseModel:
-    kind, _, value = spec.partition(":")
-    if kind == "none":
+    if spec == "none":
         return NoiseModel.none()
+    kind, _, value = spec.partition(":")
     model, default = _NOISE_LEVELS.get(kind, (None, None))
     if model is None:
         raise ProxyBenchError(f"unknown noise spec {spec!r} (use none, uniform:E, gaussian:S)")

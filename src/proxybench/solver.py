@@ -16,12 +16,12 @@ The result keeps its bits: Lawson-Hanson returns ``lstsq`` over its final
 passive set, so a warm and a cold solve that end on the same passive set
 return the same ``x`` and residual.
 
-Every system is assembled from a ``MetricRows``: the matrix, labels, sign
-pattern and per-block denominator counts that depend only on the block set
-and the targets.  ``align`` builds them once over the library, narrows them
-to the working set round 1 keeps, and hands them to every refinement round,
-which then computes only the right-hand side and the row weights from the
-measured counts.
+Every system is assembled from a ``MetricRows``: the matrix, labels and
+per-block denominator counts that depend only on the block set and the
+targets.  ``align`` builds them once over the library, narrows them to the
+working set round 1 keeps, and hands them to every refinement round, which
+then computes only the right-hand side and the row weights from the measured
+counts.
 
 Rows are weighted so one unit of weighted residual means the same thing on
 every row: a metric row is scaled by ``1/(target * expected denominator
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -69,23 +68,13 @@ class LinearSystem:
         if not np.all(self.row_weights > 0):
             raise InvalidSystemError("row weights must be positive")
 
-    @cached_property
-    def sign_pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per row: whether every coefficient is <= 0, and whether every
-        coefficient is >= 0."""
-        return _sign_pattern(self.matrix)
-
-
-def _sign_pattern(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.all(matrix <= 0, axis=1), np.all(matrix >= 0, axis=1)
-
 
 @dataclass(frozen=True, eq=False)
 class MetricRows:
     """The metric rows and the budget row of the systems over one block set
-    and one set of targets, with their labels, sign pattern and each metric's
-    per-block denominator counts: everything in a system but the right-hand
-    side and the row weights.
+    and one set of targets, with their labels and each metric's per-block
+    denominator counts: everything in a system but the right-hand side and
+    the row weights.
 
     The arrays are read-only, since every system assembled from the rows
     shares them, and C-contiguous: over a strided view the solver's sums run
@@ -105,7 +94,6 @@ class MetricRows:
             array = np.array(getattr(self, name), dtype=float, order="C")
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "sign_pattern", _sign_pattern(self.matrix))
         object.__setattr__(self, "definitions", self.targets.definitions())
 
     @classmethod
@@ -180,10 +168,7 @@ def _system(rows: MetricRows, rhs, weights) -> LinearSystem:
         raise InvalidSystemError(
             f"weighted row {rows.row_labels[overflows.argmax()]} overflows a float"
         )
-    system = LinearSystem(rows.matrix, rhs, rows.row_labels, rows.col_labels, weights)
-    # the system's matrix is the rows' own, so its sign pattern is too
-    system.__dict__["sign_pattern"] = rows.sign_pattern
-    return system
+    return LinearSystem(rows.matrix, rhs, rows.row_labels, rows.col_labels, weights)
 
 
 def assemble_initial_system(rows: MetricRows, ins1: float) -> LinearSystem:
@@ -235,11 +220,8 @@ def assemble_incremental_system(
 
 def unreachable_rows(system: LinearSystem) -> tuple[str, ...]:
     """Metric rows whose right-hand side cannot be approached with x >= 0."""
-    nonpositive, nonnegative = system.sign_pattern
-    rhs = system.rhs
-    flagged = ((rhs > 0) & nonpositive) | ((rhs < 0) & nonnegative)
-    if not flagged.any():
-        return ()
+    matrix, rhs = system.matrix, system.rhs
+    flagged = (rhs > 0) & (matrix <= 0).all(1) | (rhs < 0) & (matrix >= 0).all(1)
     return tuple(
         label
         for label, flag in zip(system.row_labels, flagged.tolist())

@@ -157,23 +157,32 @@ class TestTrace:
 
 
 class TestErrors:
-    def test_measurer_failure_carries_round_index(self, library, rng):
+    # the measure call from which vec_insts is dropped; call 3 is the last
+    # round's
+    @pytest.mark.parametrize("failing_call", [1, 2, 3])
+    def test_measurer_failure_carries_round_index(self, library, rng, failing_call):
         class DroppingMeasurer:
             events = EVENTS
 
             def __init__(self, inner):
                 self.inner = inner
+                self.calls = 0
 
             def measure(self, program, nonce=0):
+                self.calls += 1
                 full = self.inner.measure(program, nonce)
+                if self.calls < failing_call:
+                    return full
                 counts = {e: v for e, v in full.counts.items() if e != "vec_insts"}
                 return MeasurementResult(counts, "simulated")
 
         _, targets, ins1 = hidden_targets(library, rng)
         config = AlignConfig(rounds=3, ins1=ins1)
-        with pytest.raises(AlignmentError, match="round 1") as err:
-            align(library, targets, config, DroppingMeasurer(SimulatedMachine(library)))
-        assert err.value.round_index == 1
+        measurer = DroppingMeasurer(SimulatedMachine(library))
+        with pytest.raises(AlignmentError, match=f"^round {failing_call}: ") as err:
+            align(library, targets, config, measurer)
+        assert err.value.round_index == failing_call
+        assert measurer.calls == failing_call
 
     def test_empty_targets_library_mismatch(self, rng, library):
         # a target event absent from every profile surfaces as an alignment

@@ -185,8 +185,11 @@ WIDE = runs(80, 120, 90, 110, 70, 130, 100, 85, 115, 95)  # quartiles 86.25, 113
     (runs(81, 121, 91, 111, 71, 131, 101, 86, 116, 96), "unresolved"),
     # a gap wider than the spread is a gain
     (runs(60, 62, 58, 61, 59, 63, 57, 60, 61, 59), "gain"),
-    # a median worse by more than the bound is a regression however wide the spread
-    (runs(110, 140, 100, 130, 90, 150, 120, 105, 135, 115), "regression"),
+    # a median worse by more than the bound, but runs that overlap the
+    # parent's, cannot be told from the parent's own spread
+    (runs(110, 140, 100, 130, 90, 150, 120, 105, 135, 115), "unresolved"),
+    # every change run reads worse than every parent run
+    (runs(*[140] * 10), "regression"),
 ])
 def test_a_wide_parent_spread_is_unresolved(change, expected):
     assert bench_pairs.verdict(WIDE, change, "lower", 0.1) == expected

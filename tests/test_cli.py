@@ -507,6 +507,9 @@ class TestNoiseFlag:
 BAD_NUMERIC_FLAGS = {
     "uniform_not_a_number": (["--noise", "uniform:abc"], "uniform:abc"),
     "gaussian_not_a_number": (["--noise", "gaussian:x"], "gaussian:x"),
+    # none takes no level
+    "none_with_a_level": (["--noise", "none:0.3"], "unknown noise spec 'none:0.3'"),
+    "none_not_a_number": (["--noise", "none:abc"], "unknown noise spec 'none:abc'"),
     "gaussian_nan": (["--noise", "gaussian:nan"], "sigma"),
     "gaussian_inf": (["--noise", "gaussian:inf"], "sigma"),
     "tol_nan": (["--tol", "nan"], "tol"),

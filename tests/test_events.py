@@ -265,9 +265,21 @@ class TestValidation:
     def test_event_vocabulary_is_complete(self):
         assert len(EVENTS) == 21
         assert len(METRICS) == 14
+        categories = {
+            "processor_performance",
+            "branch_prediction",
+            "cache_behavior",
+            "tlb_behavior",
+            "instruction_mix",
+        }
         for definition in METRICS:
             assert definition.numerator in EVENTS
             assert definition.denominator in EVENTS
+            assert definition.numerator != definition.denominator
+            assert definition.category in categories
+        ids = [definition.id for definition in METRICS]
+        assert len(set(ids)) == len(ids)
+        assert list(METRICS_BY_ID) == ids
 
 
 def reference_counts(counts, *, what):
