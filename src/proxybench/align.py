@@ -14,6 +14,7 @@ weights.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import asdict, dataclass
 
 from .errors import AlignmentError, DocumentFormatError, ProxyBenchError
@@ -59,14 +60,17 @@ class AlignConfig:
             if not valid:
                 raise DocumentFormatError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
+        def number(value) -> bool:  # a bool is not a number here
+            return not isinstance(value, bool) and math.isfinite(value)
+
         need("rounds", is_count(self.rounds), "an int >= 1")
         for name in ("growth", "ins1", "tol"):
             value = getattr(self, name)
-            need(name, math.isfinite(value) and value > 0, "finite and > 0")
-        need("prune_eps", math.isfinite(self.prune_eps) and self.prune_eps >= 0, "finite and >= 0")
+            need(name, number(value) and value > 0, "finite and > 0")
+        need("prune_eps", number(self.prune_eps) and self.prune_eps >= 0, "finite and >= 0")
         need("max_iter", self.max_iter is None or is_count(self.max_iter), "None or an int >= 1")
         stop = self.stop_threshold
-        need("stop_threshold", stop is None or math.isfinite(stop), "None or finite")
+        need("stop_threshold", stop is None or number(stop), "None or finite")
 
 
 @dataclass(frozen=True)
@@ -179,15 +183,7 @@ def align(
 # ---------------------------------------------------------------------------
 # trace documents
 
-CONFIG = {
-    "rounds": int,
-    "growth": float,
-    "ins1": float,
-    "tol": float,
-    "prune_eps": float,
-    "max_iter": int | None,
-    "stop_threshold": float | None,
-}
+CONFIG = typing.get_type_hints(AlignConfig)  # a config document holds every field
 ROUND = {
     "round": int,
     "program": PROGRAM,

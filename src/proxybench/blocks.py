@@ -76,10 +76,9 @@ from .events import (
     PROFILE,
     EventProfile,
     ProxyProgram,
-    count_misfit,
     event_row,
+    profile_from_doc,
     profile_to_doc,
-    raise_count_error,
     require_n0,
 )
 from .jsonutil import NONEMPTY, OptionalKey, check, codec
@@ -130,6 +129,8 @@ class BlockSpec:
     profile: EventProfile | None = None
 
     def __post_init__(self):
+        if "*/" in self.id:  # it would end the comment that names the block in C
+            raise InvalidParameterError(f"block id must not contain '*/', got {self.id!r}")
         _validate_params(self.family, self.params)
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
@@ -416,18 +417,12 @@ class BlockLibrary:
     @cached_property
     def event_matrix(self) -> np.ndarray:
         """Read-only ``(blocks x EVENTS)`` profile counts in library order,
-        NaN where a profile lacks an event and on every uncalibrated block.
-        A library loaded from a document has it from the load."""
-        return _event_matrix(
-            [ABSENT_ROW if spec.profile is None else event_row(spec.profile.counts)
-             for spec in self.blocks.values()]
-        )
-
-
-def _event_matrix(rows) -> np.ndarray:
-    matrix = np.array(rows, dtype=float).reshape(len(rows), len(EVENTS))
-    matrix.flags.writeable = False
-    return matrix
+        NaN where a profile lacks an event and on every uncalibrated block."""
+        rows = [ABSENT_ROW if spec.profile is None else event_row(spec.profile.counts)
+                for spec in self.blocks.values()]
+        matrix = np.array(rows, dtype=float).reshape(len(rows), len(EVENTS))
+        matrix.flags.writeable = False
+        return matrix
 
 
 def library_from_specs(specs, n0: int = N0_DEFAULT) -> BlockLibrary:
@@ -665,66 +660,26 @@ def library_to_doc(library: BlockLibrary) -> dict:
 
 
 def library_from_doc(doc: dict) -> BlockLibrary:
-    """The library of a document that fits ``LIBRARY``, with its event
-    matrix.  One pass checks each block and gathers its profile's counts into
-    the matrix, and one call of ``events.count_misfit`` then holds every row
-    to the rules of a profile.  A malformed document raises the error of its
-    first bad block.  Within a block the checks run in this order: its shape,
-    its params' shape, its profile's ``n0``, its counts, its family and param
-    ranges.  The checks of the whole library come last: a duplicate id, the
-    library's ``n0``, each profile's ``n0`` against the library's."""
-    docs = doc["blocks"]
-    specs, rows, profiled = [], [], []  # profiled: the indexes of blocks with a profile
-    try:
-        for block in docs:
-            check(BLOCK, block, f"block {block.get('id')}")
-            block_id, family, params = block["id"], block["family"], dict(block["params"])
-            check(_PARAMS.get(family, dict), params, f"block {block_id}: malformed {family} params")
-            profile = block.get("profile")
-            if profile is not None:
-                require_n0(profile["n0"], f"block {block_id}: profile")
-                profiled.append(len(rows))
-                rows.append(event_row(profile["counts"]))
-                profile = _profile_of_row(rows[-1], profile["n0"])
-            else:
-                rows.append(ABSENT_ROW)
-            if family == "arithmetic":
-                params["mix"] = tuple(map(tuple, params["mix"]))
-            try:
-                specs.append(BlockSpec(block_id, family, params, profile))
-            except InvalidParameterError as exc:
-                raise InvalidParameterError(f"block {block_id}: {exc}") from None
-    except ProxyBenchError:
-        _check_profiles(docs, _event_matrix(rows), profiled)  # an earlier bad block
-        raise
-    matrix = _event_matrix(rows)
-    _check_profiles(docs, matrix, profiled)
-    library = library_from_specs(specs, doc["n0"])
-    vars(library)["event_matrix"] = matrix  # what the cached property would compute
-    return library
-
-
-def _check_profiles(docs: list, matrix: np.ndarray, profiled: list[int]) -> None:
-    """Raise the error of the first profile of the block documents ``docs``,
-    at indexes ``profiled`` with event rows ``matrix[profiled]``, that
-    breaks a rule of a profile."""
-    counts = [docs[index]["profile"]["counts"] for index in profiled]
-    misfit = count_misfit(matrix[profiled], np.array([len(c) for c in counts]), profiles=True)
-    if misfit is not None:
-        index, rule = misfit
+    """The library of a document that fits ``LIBRARY``.  Each block is
+    checked in turn, and a malformed document raises the error of its first
+    bad block.  Within a block the checks run in this order: its shape, its
+    params' shape, its profile (``EventProfile``), its id, family and param
+    ranges (``BlockSpec``).  The checks of the whole library come last: a
+    duplicate id, the library's ``n0``, each profile's ``n0`` against the
+    library's."""
+    specs = []
+    for block in doc["blocks"]:
+        check(BLOCK, block, f"block {block.get('id')}")
+        block_id, family, params = block["id"], block["family"], dict(block["params"])
+        check(_PARAMS.get(family, dict), params, f"block {block_id}: malformed {family} params")
+        if family == "arithmetic":
+            params["mix"] = tuple(map(tuple, params["mix"]))
         try:
-            raise_count_error(counts[index], matrix[profiled[index]], rule, "profile")
+            profile = profile_from_doc(block["profile"]) if "profile" in block else None
+            specs.append(BlockSpec(block_id, family, params, profile))
         except ProxyBenchError as exc:
-            raise type(exc)(f"block {docs[profiled[index]]['id']}: {exc}") from None
-
-
-def _profile_of_row(row: tuple, n0: int) -> EventProfile:
-    """The profile of an event row, made without the checks of a profile:
-    ``library_from_doc`` holds the row to them before it returns."""
-    profile = object.__new__(EventProfile)
-    counts = {event: float(value) for event, value in zip(EVENTS, row) if value == value}  # not NaN
-    vars(profile).update(counts=MappingProxyType(counts), n0=n0)
-    return profile
+            raise type(exc)(f"block {block_id}: {exc}") from None
+    return library_from_specs(specs, doc["n0"])
 
 
 def _text_hash(text: str) -> str:

@@ -75,17 +75,6 @@ MISS_ACCESS_PAIRS = (
 # ``EVENTS`` in order: NaN where its profile lacks an event
 _EVENT_ROW = operator.itemgetter(*EVENTS)
 ABSENT_ROW = (math.nan,) * len(EVENTS)
-_MISS_COLUMNS = np.array([EVENT_INDEX[miss] for miss, _ in MISS_ACCESS_PAIRS], dtype=np.intp)
-_ACCESS_COLUMNS = np.array([EVENT_INDEX[access] for _, access in MISS_ACCESS_PAIRS], dtype=np.intp)
-_INSTRUCTIONS = EVENT_INDEX["instructions"]
-
-# the rules of :func:`count_misfit`
-BAD_COUNT, MISS_ABOVE_ACCESS, NO_INSTRUCTIONS = "count", "miss above access", "instructions"
-
-def require_event(name: str) -> str:
-    if name not in _EVENT_SET:
-        raise UnknownEventError(f"unknown event name: {name!r}")
-    return name
 
 
 @dataclass(frozen=True)
@@ -127,19 +116,30 @@ _BOUNDED_CATEGORIES = frozenset(
 
 
 def _validate_counts(counts: Mapping[str, float], *, what: str, profile=False) -> dict[str, float]:
-    """``counts`` as floats in canonical key order, held to the rules of
-    :func:`count_misfit`.  Any key and value may come in, so each value goes
-    through ``float`` first."""
+    """``counts`` as floats in canonical key order.  Every key must be an
+    event and every count a finite number >= 0, no miss count may exceed its
+    access count, and a ``profile`` must have instructions > 0.  Any key and
+    value may come in, so each value goes through ``float`` first."""
     clean = {}
     for name, value in counts.items():
+        if name not in _EVENT_SET:
+            raise UnknownEventError(f"unknown event name: {name!r}")
         try:
-            clean[name] = float(value)
+            value = float(value)
         except (TypeError, ValueError, OverflowError):
-            clean[name] = math.nan  # breaks the count rule, whose error names it
-    row = np.array([event_row(clean)])
-    misfit = count_misfit(row, len(clean), profile)
-    if misfit is not None:
-        raise_count_error(counts, row[0], misfit[1], what)
+            raise DocumentFormatError(
+                f"{what}: count for {name} must be a finite number, got {value!r}"
+            ) from None
+        if not 0.0 <= value < math.inf:  # NaN fails too
+            raise DocumentFormatError(f"{what}: count for {name} must be finite and >= 0")
+        clean[name] = value
+    for miss, access in MISS_ACCESS_PAIRS:
+        if miss in clean and access in clean and clean[miss] > clean[access]:
+            raise DocumentFormatError(
+                f"{what}: {miss}={clean[miss]} exceeds {access}={clean[access]}"
+            )
+    if profile and not clean.get("instructions", 0.0) > 0.0:
+        raise DocumentFormatError(f"{what} must have instructions > 0")
     # canonical key order so downstream serialization is stable
     return {name: clean[name] for name in EVENTS if name in clean}
 
@@ -151,57 +151,6 @@ def event_row(counts: Mapping[str, float]) -> tuple:
         return _EVENT_ROW(counts)
     except KeyError:
         return tuple(counts.get(event, math.nan) for event in EVENTS)
-
-
-def _counted(rows: np.ndarray) -> np.ndarray:
-    # NaN, an absent event, fails both comparisons
-    return (rows >= 0.0) & (rows < math.inf)
-
-
-def count_misfit(rows: np.ndarray, sizes, profiles: bool = False) -> tuple[int, str] | None:
-    """The first of the event rows ``rows`` that breaks a rule, and the first
-    rule it breaks, or ``None``.  Row ``i`` is the :func:`event_row` of counts
-    of ``sizes[i]`` keys.  The rules, in order:
-
-    * ``BAD_COUNT``: every key is an event, and every count is finite and
-      >= 0.  A key that is no event has no cell, and a count that is not
-      finite fails the test, so fewer than ``sizes[i]`` cells pass it.
-    * ``MISS_ABOVE_ACCESS``: no miss count exceeds its access count.  A
-      comparison with an absent event, NaN, is false.
-    * ``NO_INSTRUCTIONS``, of ``profiles`` only: instructions > 0.
-    """
-    bad_count = _counted(rows).sum(1) != sizes
-    miss_above_access = (rows.take(_MISS_COLUMNS, 1) > rows.take(_ACCESS_COLUMNS, 1)).any(1)
-    broken = bad_count | miss_above_access
-    if profiles:
-        broken |= ~(rows[:, _INSTRUCTIONS] > 0.0)
-    if not broken.any():
-        return None
-    index = int(broken.argmax())
-    if bad_count[index]:
-        return index, BAD_COUNT
-    return index, MISS_ABOVE_ACCESS if miss_above_access[index] else NO_INSTRUCTIONS
-
-
-def raise_count_error(counts: Mapping[str, float], row: np.ndarray, rule: str, what: str):
-    """Raise the error of ``counts``, whose event row ``row`` breaks
-    ``rule``.  It names the first key of ``counts``, or the first of
-    ``MISS_ACCESS_PAIRS``, that breaks the rule."""
-    if rule == BAD_COUNT:
-        counted = _counted(row)
-        name = next(name for name in counts if not counted[EVENT_INDEX[require_event(name)]])
-        try:
-            float(counts[name])
-        except (TypeError, ValueError, OverflowError):
-            raise DocumentFormatError(
-                f"{what}: count for {name} must be a finite number, got {counts[name]!r}"
-            ) from None
-        raise DocumentFormatError(f"{what}: count for {name} must be finite and >= 0")
-    if rule == MISS_ABOVE_ACCESS:
-        value = dict(zip(EVENTS, row.tolist()))
-        miss, access = next(pair for pair in MISS_ACCESS_PAIRS if value[pair[0]] > value[pair[1]])
-        raise DocumentFormatError(f"{what}: {miss}={value[miss]} exceeds {access}={value[access]}")
-    raise DocumentFormatError(f"{what} must have instructions > 0")
 
 
 def is_count(value) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -51,6 +52,13 @@ class TestConfig:
             AlignConfig(growth=0.0)
         with pytest.raises(DocumentFormatError):
             AlignConfig(ins1=-1.0)
+
+    @pytest.mark.parametrize("name", ["growth", "ins1", "tol", "prune_eps", "stop_threshold"])
+    def test_bool_values_rejected(self, name):
+        # a trace could not load the config back: a bool is no number there
+        for value in (True, False):
+            with pytest.raises(DocumentFormatError, match=f"^{name} must be .*, got {value}$"):
+                AlignConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["ins1", "growth", "tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -147,6 +155,16 @@ class TestTrace:
         machine = SimulatedMachine(library, NoiseModel.uniform(0.02, seed=4))
         _, trace = align(library, targets, config, machine)
         text = dump_trace(trace)
+        assert dump_trace(load_trace(text)) == text
+
+    def test_trace_with_every_config_field_set_round_trips(self, library, rng):
+        _, targets, _ = hidden_targets(library, rng)
+        config = AlignConfig(rounds=2, growth=0.3, ins1=5e6, tol=1e-9, prune_eps=1e-5,
+                             max_iter=500, stop_threshold=2.0)
+        assert all(getattr(config, f.name) != f.default for f in dataclasses.fields(config))
+        _, trace = align(library, targets, config, SimulatedMachine(library))
+        text = dump_trace(trace)
+        assert load_trace(text).config == config
         assert dump_trace(load_trace(text)) == text
 
     def test_early_stop_flag(self, library, rng):

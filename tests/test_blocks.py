@@ -73,6 +73,14 @@ class TestConstructors:
         make_branch_block(0)
         make_branch_block(1024)
 
+    def test_block_id_that_would_end_its_c_comment_rejected(self):
+        # the id is rendered inside /* block <id>: <family> */
+        with pytest.raises(InvalidParameterError, match=r"block id must not contain '\*/'"):
+            make_branch_block(128, block_id="x */ int y = ; /*")
+        assert "/* block a*b/c: branch_predict */" in render_program(
+            ProxyProgram((("a*b/c", 1),)), library_from_specs([make_branch_block(128, "a*b/c")])
+        )
+
     def test_arith_mix_validation(self):
         with pytest.raises(InvalidParameterError):
             make_arith_block(())
@@ -679,7 +687,7 @@ class TestLoadedLibraryHash:
         sweep_library().content_hash()
         assert calls["block_to_doc"] > 0 and calls["dumps_canonical"] == 1
 
-    def test_loading_validates_no_profile_again(self, monkeypatch):
+    def test_loading_validates_each_profile_once(self, monkeypatch):
         import proxybench.events as events_mod
 
         calls = []
@@ -689,11 +697,10 @@ class TestLoadedLibraryHash:
             calls.append(kwargs["what"])
             return validate(*args, **kwargs)
 
-        text = dump_library(sweep_library())
+        library = sweep_library()
+        uncalibrated = make_branch_block(1000)
+        text = dump_library(library_from_specs([*library.blocks.values(), uncalibrated]))
         monkeypatch.setattr(events_mod, "_validate_counts", counted)
-        library = load_library(text)
-        assert calls == []
-        assert "event_matrix" in vars(library)  # built by the load
-        # the counter sees the profiles of a library built in memory
-        sweep_library()
-        assert calls and set(calls) == {"profile"}
+        loaded = load_library(text)
+        assert calls == ["profile"] * len(library)
+        assert loaded.blocks[uncalibrated.id].profile is None

@@ -312,6 +312,29 @@ class TestMalformedLibrary:
             assert err.startswith(f"error: block {block_id}: ")
 
 
+@pytest.mark.parametrize("command", ["validate", "align", "render"])
+def test_block_id_that_would_end_its_c_comment(
+    library_path, targets_path, tmp_path, capsys, command
+):
+    doc = json.loads(library_path.read_text())
+    doc["blocks"][0]["id"] = block_id = "x */ int y = ; /*"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    manifest = tmp_path / "program.json"
+    manifest.write_text(dump_program(ProxyProgram(((block_id, 1),))))
+    argv = {
+        "validate": ["library", "validate", str(bad)],
+        "align": ["align", str(targets_path[0]), "--library", str(bad),
+                  "--out", str(tmp_path / "out")],
+        "render": ["render", str(manifest), "--library", str(bad)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    rule = f"block id must not contain '*/', got {block_id!r}"
+    assert captured.err == f"error: block {block_id}: {rule}\n"
+    assert captured.out == ""
+
+
 def _set_mix_reps(value):
     def mutate(doc):
         block = _first_block(doc, "arithmetic")

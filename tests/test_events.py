@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -28,15 +29,12 @@ from proxybench.errors import (
 from proxybench.events import (
     MISS_ACCESS_PAIRS,
     _validate_counts,
-    count_misfit,
     dump_profile,
     dump_program,
     dump_targets,
-    event_row,
     load_profile,
     load_program,
     load_targets,
-    raise_count_error,
 )
 
 N0 = 10_000_000
@@ -283,7 +281,8 @@ class TestValidation:
 
 
 def reference_counts(counts, *, what):
-    """``_validate_counts`` as one loop over the values, with no bulk test."""
+    """The rules of ``_validate_counts``, written out on their own as one
+    loop over the values."""
     clean = {}
     for name, value in counts.items():
         if name not in EVENTS:
@@ -329,6 +328,8 @@ class TestBulkCountCheck:
     @given(st.dictionaries(COUNT_NAMES, COUNT_VALUES, max_size=len(EVENTS) + 3))
     def test_matches_the_per_value_loop(self, counts):
         assert outcome(_validate_counts, counts) == outcome(reference_counts, counts)
+        profile = functools.partial(_validate_counts, profile=True)
+        assert outcome(profile, counts) == outcome(profile_counts, counts)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.dictionaries(
@@ -339,37 +340,6 @@ class TestBulkCountCheck:
     ))
     def test_matches_on_float_counts(self, counts):
         assert outcome(_validate_counts, counts) == outcome(reference_counts, counts)
-
-
-class TestProfileRows:
-    @settings(max_examples=400, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(st.lists(st.dictionaries(
-        COUNT_NAMES,
-        st.one_of(st.floats(min_value=0.0, max_value=1e300),
-                  st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0])),
-        max_size=len(EVENTS) + 2,
-    ), max_size=4))
-    def test_rows_pass_as_the_profile_checks(self, maps):
-        """The count maps stacked into one matrix: the validator names the
-        first map the per-value checks reject, with their error."""
-        rows = np.array([event_row(counts) for counts in maps]).reshape(len(maps), len(EVENTS))
-        sizes = np.array([len(counts) for counts in maps])
-        for profiles, check in ((False, reference_counts), (True, profile_counts)):
-            outcomes = [outcome(check, counts) for counts in maps]
-            rejected = [index for index, result in enumerate(outcomes) if type(result) is tuple]
-            misfit = count_misfit(rows, sizes, profiles)
-            assert (misfit is None) == (not rejected)
-            if rejected:
-                index, rule = misfit
-                assert index == rejected[0]
-                assert outcome(
-                    lambda counts, what: raise_count_error(counts, rows[index], rule, what),
-                    maps[index],
-                ) == outcomes[index]
-        for counts, row in zip(maps, rows):
-            if type(outcome(profile_counts, counts)) is not tuple:
-                assert np.array_equal(row, event_row(EventProfile(counts).counts), equal_nan=True)
 
 
 def profile_counts(counts, *, what):
