@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -70,22 +71,21 @@ from .errors import (
     UnresolvedBlockError,
 )
 from .events import (
-    ABSENT_ROW,
     EVENTS,
     N0_DEFAULT,
     PROFILE,
     EventProfile,
     ProxyProgram,
-    event_row,
     profile_from_doc,
     profile_to_doc,
     require_n0,
 )
 from .jsonutil import NONEMPTY, OptionalKey, check, codec
 
-# each family's params, as the shape of a library document holds them; no
-# value is coerced, as the make_*_block constructors do, so a loaded library
-# writes back the document it was read from
+# each family's params, as a library document and every BlockSpec hold them
+# (a mix in memory is a tuple of tuples); no value is coerced, as the
+# make_*_block constructors do, so a loaded library writes back the document
+# it was read from
 _PARAMS = {
     "memory_access": {"stride": int, "buffer": int},
     "function_access": {"stride": int, "count": int},
@@ -131,8 +131,9 @@ class BlockSpec:
     def __post_init__(self):
         if "*/" in self.id:  # it would end the comment that names the block in C
             raise InvalidParameterError(f"block id must not contain '*/', got {self.id!r}")
-        _validate_params(self.family, self.params)
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        params = dict(self.params)
+        _validate_params(self.family, params)
+        object.__setattr__(self, "params", MappingProxyType(params))
 
     def __reduce__(self):
         return BlockSpec, (self.id, self.family, dict(self.params), self.profile)
@@ -154,10 +155,10 @@ def _param_str(value) -> str:
 def _validate_params(family: str, params: dict) -> None:
     if family not in FAMILIES:
         raise InvalidParameterError(f"unknown block family {family!r}")
-    if set(params) != set(_PARAMS[family]):
-        raise InvalidParameterError(
-            f"{family} params must be exactly {sorted(_PARAMS[family])}, got {sorted(params)}"
-        )
+    try:
+        check(_PARAMS[family], params, f"{family} params")
+    except DocumentFormatError as exc:
+        raise InvalidParameterError(str(exc)) from None
     if family == "memory_access":
         stride, buffer = params["stride"], params["buffer"]
         if not 1 <= stride <= 2**20:
@@ -418,11 +419,25 @@ class BlockLibrary:
     def event_matrix(self) -> np.ndarray:
         """Read-only ``(blocks x EVENTS)`` profile counts in library order,
         NaN where a profile lacks an event and on every uncalibrated block."""
-        rows = [ABSENT_ROW if spec.profile is None else event_row(spec.profile.counts)
+        rows = [_ABSENT_ROW if spec.profile is None else _event_row(spec.profile.counts)
                 for spec in self.blocks.values()]
         matrix = np.array(rows, dtype=float).reshape(len(rows), len(EVENTS))
         matrix.flags.writeable = False
         return matrix
+
+
+# one row of the event matrix per block: the counts of ``EVENTS`` in order
+_EVENT_ROW = operator.itemgetter(*EVENTS)
+_ABSENT_ROW = (math.nan,) * len(EVENTS)
+
+
+def _event_row(counts: Mapping[str, float]) -> tuple:
+    """``counts`` of every event in ``EVENTS`` order, NaN where absent.  Most
+    profiles hold every event, so one ``itemgetter`` call builds their row."""
+    try:
+        return _EVENT_ROW(counts)
+    except KeyError:
+        return tuple(counts.get(event, math.nan) for event in EVENTS)
 
 
 def library_from_specs(specs, n0: int = N0_DEFAULT) -> BlockLibrary:

@@ -71,12 +71,6 @@ MISS_ACCESS_PAIRS = (
     ("branch_misses", "branch_insts"),
 )
 
-# a library's event matrix holds, per calibrated block, the counts of
-# ``EVENTS`` in order: NaN where its profile lacks an event
-_EVENT_ROW = operator.itemgetter(*EVENTS)
-ABSENT_ROW = (math.nan,) * len(EVENTS)
-
-
 @dataclass(frozen=True)
 class MetricDefinition:
     """A ratio metric: numerator event over denominator event."""
@@ -142,15 +136,6 @@ def _validate_counts(counts: Mapping[str, float], *, what: str, profile=False) -
         raise DocumentFormatError(f"{what} must have instructions > 0")
     # canonical key order so downstream serialization is stable
     return {name: clean[name] for name in EVENTS if name in clean}
-
-
-def event_row(counts: Mapping[str, float]) -> tuple:
-    """``counts`` of every event in ``EVENTS`` order, NaN where absent: one
-    row of a library's event matrix.  Keys that are not events are left out."""
-    try:
-        return _EVENT_ROW(counts)
-    except KeyError:
-        return tuple(counts.get(event, math.nan) for event in EVENTS)
 
 
 def is_count(value) -> bool:

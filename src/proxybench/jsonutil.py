@@ -119,153 +119,77 @@ class OptionalKey(str):
     """A key that an object may leave out; it equals the plain key."""
 
 
-# Each shape is compiled once, on first use, into nested closures: a check
-# of ``value`` returns ``None`` if it fits, else the key path to the first
-# misfit and what is wrong there.  The path is built only on a misfit.  A
-# shape must not change once it has been used.
-
-_COMPILED: dict[int, tuple] = {}  # id(shape) -> (shape, its check)
-
-
-def compile_shape(shape):
-    """The compiled check of ``shape``, made on the first call."""
-    entry = _COMPILED.get(id(shape))
-    if entry is None:
-        # the entry keeps the shape alive, so its id is never reused
-        entry = _COMPILED[id(shape)] = (shape, _compile(shape))
-    return entry[1]
-
-
-def _compile(shape):
-    kind = type(shape)
-    if shape is float:
-        return _fit_number
-    if shape is object:
-        return _fit_any
-    if kind is type or shape is NONEMPTY:  # int, str, bool or dict
-        return _fit_type(shape)
-    if kind is types.UnionType:
-        inner = _compile(shape.__args__[0])
-        return lambda value: None if value is None else inner(value)
-    if kind is list:
-        return _fit_list(_compile(shape[0]))
-    if kind is tuple:
-        return _fit_tuple(tuple(map(_compile, shape)))
-    if str in shape:
-        return _fit_mapping(shape[str])
-    return _fit_object(shape)
-
-
-def _expected(shape, value):
-    return (), f"expected {_NAMES[shape]}, got {_text(value)}"
-
-
-def _fit_number(value):
-    # NaN and the infinities, which ``json`` reads, fail the range test
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return None
-    return _expected(float, value)
-
-
-def _fit_any(value):
-    # of a JSON value, only containers and floats can misfit
-    kind = type(value)
-    if kind is dict:
-        return _fit_any_object(value)
-    if kind is list:
-        return _fit_any_list(value)
-    return _fit_number(value) if kind is float else None
-
-
-def _fit_type(shape):
-    if shape is NONEMPTY:
-        return lambda value: None if type(value) is str and value else _expected(shape, value)
-    return lambda value: None if type(value) is shape else _expected(shape, value)
-
-
-def _fit_list(item):
-    def fit(value):
-        if type(value) is not list:
-            return _expected(list, value)
-        for index, misfit in enumerate(map(item, value)):
-            if misfit is not None:
-                return (index,) + misfit[0], misfit[1]
-        return None
-
-    return fit
-
-
-def _fit_tuple(items):
-    size = len(items)
-
-    def fit(value):
-        if type(value) is not list:
-            return _expected(list, value)
-        if len(value) != size:
-            return (), f"expected a list of {size} items, got {_text(value)}"
-        for index, (item, element) in enumerate(zip(items, value)):
-            misfit = item(element)
-            if misfit is not None:
-                return (index,) + misfit[0], misfit[1]
-        return None
-
-    return fit
-
-
-def _fit_mapping(item_shape):
-    item = _compile(item_shape)
-    numbers = item_shape is float
-
-    def fit(value):
+def _misfit(shape, value):
+    """``None`` if ``value`` fits ``shape``, else the key path to the first
+    misfit and what is wrong there.  The path is built only on a misfit.  A
+    list or tuple shape also takes a tuple, which no JSON document holds, so
+    that values built in memory can be checked too."""
+    # a container fits if its items do: ``pairs`` holds its keys or indexes
+    # with their items, and an item's shape is ``each``, or ``shape[key]``
+    # where ``each`` is None
+    kind, pairs, each = type(shape), None, None
+    if kind is dict:  # objects and maps, the most common shapes
         if type(value) is not dict:
-            return _expected(dict, value)
-        values = value.values()
-        # event counts, most of a library, pass in C loops: a sum of floats
-        # is NaN or infinite if one of them is
-        if numbers and {float} >= set(map(type, values)) and isfinite(sum(values)):
+            shape = dict  # the kind to name
+        elif str in shape:
+            each, values = shape[str], value.values()
+            # event counts, most of a library, pass in C loops: a sum of
+            # floats is NaN or infinite if one of them is
+            if each is float and {float} >= set(map(type, values)) and isfinite(sum(values)):
+                return None
+            pairs = value.items()
+        else:
+            if value.keys() != shape.keys():
+                unknown = sorted(value.keys() - shape.keys())
+                missing = sorted(k for k in shape if type(k) is str and k not in value)
+                if unknown or missing:
+                    return (), f"unknown keys {unknown}" if unknown else f"missing keys {missing}"
+            pairs = value.items()
+    elif kind is list or kind is tuple:
+        if type(value) is not list and type(value) is not tuple:
+            shape = list
+        elif kind is list:
+            each, pairs = shape[0], enumerate(value)
+        elif len(value) != len(shape):
+            return (), f"expected a list of {len(shape)} items, got {_text(value)}"
+        else:
+            pairs = enumerate(value)
+    elif shape is float:
+        # NaN and the infinities, which ``json`` reads, fail the range test
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
             return None
-        for key, misfit in zip(value, map(item, values)):
-            if misfit is not None:
-                return (key,) + misfit[0], misfit[1]
+    elif shape is object:  # of its values, only containers and floats can misfit
+        inner = {dict: {str: object}, list: [object], float: float}.get(type(value))
+        return None if inner is None else _misfit(inner, value)
+    elif kind is types.UnionType:
+        return None if value is None else _misfit(shape.__args__[0], value)
+    elif shape is NONEMPTY:
+        if type(value) is str and value:
+            return None
+    elif type(value) is shape:  # int, str, bool or dict
         return None
-
-    return fit
-
-
-def _fit_object(shape):
-    keys = frozenset(shape)
-    required = sorted(key for key in shape if type(key) is str)
-    items = {key: _compile(item) for key, item in shape.items()}
-
-    def fit(value):
-        if type(value) is not dict:
-            return _expected(dict, value)
-        if value.keys() != keys:
-            unknown = sorted(value.keys() - keys)
-            missing = [key for key in required if key not in value]
-            if unknown or missing:
-                return (), f"unknown keys {unknown}" if unknown else f"missing keys {missing}"
-        for key, item in value.items():
-            misfit = items[key](item)
-            if misfit is not None:
-                return (key,) + misfit[0], misfit[1]
-        return None
-
-    return fit
-
-
-_fit_any_object = _compile({str: object})
-_fit_any_list = _compile([object])
+    if pairs is None:
+        return (), f"expected {_NAMES[shape]}, got {_text(value)}"
+    for key, item in pairs:
+        item_shape = shape[key] if each is None else each
+        # an int, str, bool or dict of its shape's type fits without a call;
+        # a float still needs its range test
+        if type(item) is item_shape and item_shape is not float:
+            continue
+        misfit = _misfit(item_shape, item)
+        if misfit is not None:
+            return (key,) + misfit[0], misfit[1]
+    return None
 
 
 def _text(value) -> str:
-    text = json.dumps(value)
+    text = json.dumps(value, default=repr)  # a value built in memory need not be JSON
     return text if len(text) <= 40 else text[:37] + "..."
 
 
 def check(shape, value, what: str) -> None:
     """Raise ``DocumentFormatError`` naming ``what`` and the path to a misfit."""
-    misfit = compile_shape(shape)(value)
+    misfit = _misfit(shape, value)
     if misfit is not None:
         path, problem = misfit
         where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)

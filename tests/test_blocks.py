@@ -8,6 +8,7 @@ import pickle
 import re
 import shutil
 import subprocess
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from proxybench.blocks import (
     _LCG_MUL as LCG_MUL,
     _LCG_SEED as LCG_SEED,
     BlockLibrary,
+    BlockSpec,
     calibrate_synthetic,
     dump_library,
     library_from_specs,
@@ -80,6 +82,39 @@ class TestConstructors:
         assert "/* block a*b/c: branch_predict */" in render_program(
             ProxyProgram((("a*b/c", 1),)), library_from_specs([make_branch_block(128, "a*b/c")])
         )
+
+    # per family, params of a wrong type and the message each one raises:
+    # let through, they reach the rendered C (``off += Trueu;``) or write a
+    # library that load_library rejects
+    WRONG_TYPES = {
+        "memory_access": [
+            ({"stride": True, "buffer": 64}, "stride: expected an integer, got true"),
+            ({"stride": 8.5, "buffer": 64}, "stride: expected an integer, got 8.5"),
+            ({"stride": "8", "buffer": 64}, 'stride: expected an integer, got "8"'),
+            ({"stride": 8}, "missing keys ['buffer']"),
+        ],
+        "function_access": [
+            ({"stride": 64, "count": 4.0}, "count: expected an integer, got 4.0"),
+            ({"stride": Fraction(64), "count": 4}, 'stride: expected an integer, got "Fraction(64, 1)"'),
+        ],
+        "branch_predict": [
+            ({"threshold": None}, "threshold: expected an integer, got null"),
+            ({"threshold": 8, "fp": True}, "unknown keys ['fp']"),
+        ],
+        "arithmetic": [
+            ({"mix": 5, "fp": False}, "mix: expected a list, got 5"),
+            ({"mix": (("add", True),), "fp": False}, "mix[0][1]: expected an integer, got true"),
+            ({"mix": (("add", 2, 3),), "fp": False}, 'mix[0]: expected a list of 2 items, got ["add", 2, 3]'),
+            ({"mix": (("add", 2),), "fp": 1}, "fp: expected a boolean, got 1"),
+        ],
+    }
+
+    @pytest.mark.parametrize("family", WRONG_TYPES)
+    def test_params_of_a_wrong_type_rejected(self, family):
+        for params, message in self.WRONG_TYPES[family]:
+            with pytest.raises(InvalidParameterError) as caught:
+                BlockSpec("b", family, params)
+            assert str(caught.value) == f"{family} params: {message}"
 
     def test_arith_mix_validation(self):
         with pytest.raises(InvalidParameterError):

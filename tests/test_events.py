@@ -322,7 +322,7 @@ COUNT_VALUES = st.one_of(
 COUNT_NAMES = st.sampled_from(EVENTS + ("bogus", "", "Cycles"))
 
 
-class TestBulkCountCheck:
+class TestPerValueCountCheck:
     @settings(max_examples=400, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.dictionaries(COUNT_NAMES, COUNT_VALUES, max_size=len(EVENTS) + 3))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from proxybench import (
 )
 from proxybench.align import dump_trace, trace_to_doc
 from proxybench.blocks import ARITH_OPS, library_to_doc
-from proxybench.jsonutil import dumps_canonical
+from proxybench.errors import DocumentFormatError
+from proxybench.jsonutil import NONEMPTY, OptionalKey, check, dumps_canonical
 from tests.conftest import hidden_targets
 
 
@@ -162,3 +164,52 @@ def test_trace_document_matches_json_dumps(library):
     _, targets, ins1 = hidden_targets(library, np.random.default_rng(99))
     _, trace = align(library, targets, AlignConfig(ins1=ins1), SimulatedMachine(library))
     assert dump_trace(trace) == oracle(trace_to_doc(trace))
+
+
+OBJECT = {"k": int, OptionalKey("o"): str}
+NAN = math.nan
+
+# (shape, value, the message of ``check(shape, value, "doc")``, or None where
+# the value fits): one or more cases for each element of the shape notation
+SHAPE_CASES = {
+    "int given true": (int, True, "doc: expected an integer, got true"),
+    "int given 8.0": (int, 8.0, "doc: expected an integer, got 8.0"),
+    "float given NaN": (float, NAN, "doc: expected a finite number, got NaN"),
+    "float given an infinity": (float, -math.inf, "doc: expected a finite number, got -Infinity"),
+    "float given true": (float, True, "doc: expected a finite number, got true"),
+    "float given 10**400": (float, 10**400, "doc: expected a finite number, got 1" + "0" * 36 + "..."),
+    "float given an int": (float, 3, None),
+    "str given a number": (str, 5, "doc: expected a string, got 5"),
+    "bool given 1": (bool, 1, "doc: expected a boolean, got 1"),
+    "dict given a list": (dict, [], "doc: expected an object, got []"),
+    "NONEMPTY given an empty string": (NONEMPTY, "", 'doc: expected a nonempty string, got ""'),
+    "S | None given null": (int | None, None, None),
+    "S | None given a string": (int | None, "x", 'doc: expected an integer, got "x"'),
+    "list given an object": ([int], {}, "doc: expected a list, got {}"),
+    "index path into [S]": ({"a": [int]}, {"a": [1, 2, True]}, "doc: a[2]: expected an integer, got true"),
+    "top-level index path": ([[str]], [[], ["x", 1]], "doc: [1][1]: expected a string, got 1"),
+    "tuple of the wrong length": ((str, int), ["x"], 'doc: expected a list of 2 items, got ["x"]'),
+    "tuple item": ((str, int), ["x", "y"], 'doc: [1]: expected an integer, got "y"'),
+    "tuple in memory": ([(str, int)], (("add", 2),), None),
+    "map holding one NaN": ({str: float}, {"a": 1.0, "b": NAN}, "doc: b: expected a finite number, got NaN"),
+    "map holding a bool": ({str: float}, {"a": 1.0, "b": False}, "doc: b: expected a finite number, got false"),
+    "unknown keys": (OBJECT, {"k": 1, "z": 2, "a": 3}, "doc: unknown keys ['a', 'z']"),
+    "unknown and missing keys": (OBJECT, {"z": 2}, "doc: unknown keys ['z']"),
+    "missing keys": (OBJECT, {"o": "x"}, "doc: missing keys ['k']"),
+    "absent OptionalKey": (OBJECT, {"k": 1}, None),
+    "present OptionalKey": (OBJECT, {"k": 1, "o": 2}, "doc: o: expected a string, got 2"),
+    "object holding a NaN deep inside": (
+        {"m": object}, {"m": {"a": [1, {"b": [NAN]}]}}, "doc: m.a[1].b[0]: expected a finite number, got NaN"
+    ),
+    "long value cut short": (str, list(range(30)), "doc: expected a string, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11..."),
+}
+
+
+@pytest.mark.parametrize("shape, value, message", SHAPE_CASES.values(), ids=SHAPE_CASES)
+def test_check_message_of_each_shape_element(shape, value, message):
+    if message is None:
+        check(shape, value, "doc")
+        return
+    with pytest.raises(DocumentFormatError) as caught:
+        check(shape, value, "doc")
+    assert str(caught.value) == message

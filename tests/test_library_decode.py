@@ -186,7 +186,7 @@ CHECKS = {
 
 
 @pytest.mark.parametrize("edit", CHECKS, ids=lambda edit: edit.__name__)
-def test_each_check_of_the_one_pass_decode(document, edit):
+def test_each_check_of_the_block_by_block_decode(document, edit):
     doc = json.loads(json.dumps(document))
     edit(doc["blocks"][11])
     assert assert_same_outcome(json.dumps(doc))[1] == CHECKS[edit]
