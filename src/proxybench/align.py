@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 from .errors import AlignmentError, DocumentFormatError, ProxyBenchError
 from .events import (
@@ -61,7 +62,7 @@ class AlignConfig:
                 raise DocumentFormatError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
         def number(value) -> bool:  # a bool is not a number here
-            return not isinstance(value, bool) and math.isfinite(value)
+            return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
         need("rounds", is_count(self.rounds), "an int >= 1")
         for name in ("growth", "ins1", "tol"):

@@ -82,10 +82,10 @@ from .events import (
 )
 from .jsonutil import NONEMPTY, OptionalKey, check, codec
 
-# each family's params, as a library document and every BlockSpec hold them
-# (a mix in memory is a tuple of tuples); no value is coerced, as the
-# make_*_block constructors do, so a loaded library writes back the document
-# it was read from
+# each family's params, as a library document and every BlockSpec hold them;
+# BlockSpec alone checks them, coerces no value and stores a mix as a tuple
+# of (op, reps) tuples, so a loaded library writes back the document it was
+# read from and equals the library it was dumped from
 _PARAMS = {
     "memory_access": {"stride": int, "buffer": int},
     "function_access": {"stride": int, "count": int},
@@ -129,10 +129,14 @@ class BlockSpec:
     profile: EventProfile | None = None
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise InvalidParameterError(f"block id must be a nonempty string, got {self.id!r}")
         if "*/" in self.id:  # it would end the comment that names the block in C
             raise InvalidParameterError(f"block id must not contain '*/', got {self.id!r}")
         params = dict(self.params)
         _validate_params(self.family, params)
+        if self.family == "arithmetic":
+            params["mix"] = tuple(map(tuple, params["mix"]))
         object.__setattr__(self, "params", MappingProxyType(params))
 
     def __reduce__(self):
@@ -156,7 +160,7 @@ def _validate_params(family: str, params: dict) -> None:
     if family not in FAMILIES:
         raise InvalidParameterError(f"unknown block family {family!r}")
     try:
-        check(_PARAMS[family], params, f"{family} params")
+        check(_PARAMS[family], params, f"malformed {family} params")
     except DocumentFormatError as exc:
         raise InvalidParameterError(str(exc)) from None
     if family == "memory_access":
@@ -189,32 +193,26 @@ def _validate_params(family: str, params: dict) -> None:
 def make_memory_block(stride: int, buffer: int, block_id: str | None = None) -> BlockSpec:
     """Buffer walk at a fixed byte stride, wrapping at the buffer end."""
     block_id = block_id or f"mem_s{stride}_b{buffer}"
-    return BlockSpec(block_id, "memory_access", {"stride": int(stride), "buffer": int(buffer)})
+    return BlockSpec(block_id, "memory_access", {"stride": stride, "buffer": buffer})
 
 
 def make_function_block(stride: int, count: int, block_id: str | None = None) -> BlockSpec:
     """Calls across ``count`` sequential functions at a fixed byte stride."""
     block_id = block_id or f"fn_s{stride}_c{count}"
-    return BlockSpec(block_id, "function_access", {"stride": int(stride), "count": int(count)})
+    return BlockSpec(block_id, "function_access", {"stride": stride, "count": count})
 
 
 def make_branch_block(threshold: int, block_id: str | None = None) -> BlockSpec:
     """Data-dependent branch taken iff a pseudo-random R > threshold."""
     block_id = block_id or f"br_t{threshold}"
-    return BlockSpec(block_id, "branch_predict", {"threshold": int(threshold)})
-
-
-def _mix(mix) -> tuple[tuple[str, int], ...]:
-    return tuple((str(op), int(reps)) for op, reps in mix)
+    return BlockSpec(block_id, "branch_predict", {"threshold": threshold})
 
 
 def make_arith_block(mix, fp: bool = False, block_id: str | None = None) -> BlockSpec:
     """Dependence-chained arithmetic with the given (op, repetitions) mix."""
-    mix = _mix(mix)
     if block_id is None:
-        tag = "_".join(f"{op}{reps}" for op, reps in mix)
-        block_id = f"{'fpmix' if fp else 'mix'}_{tag}"
-    return BlockSpec(block_id, "arithmetic", {"mix": mix, "fp": bool(fp)})
+        block_id = "_".join(["fpmix" if fp else "mix"] + [f"{op}{reps}" for op, reps in mix])
+    return BlockSpec(block_id, "arithmetic", {"mix": mix, "fp": fp})
 
 
 # ---------------------------------------------------------------------------
@@ -593,16 +591,14 @@ _RESOURCE = {"memory_access": _buffer, "function_access": _pool}
 def _fragment(spec: BlockSpec, iterations: int) -> list[str]:
     """The exterior counted loop wrapping the family interior, indented to
     sit in ``main``."""
-    if int(iterations) < 0:
-        raise InvalidParameterError(f"iterations must be >= 0, got {iterations}")
-    if int(iterations) > _LOOP_MAX:  # a wider literal would be cut to 64 bits
+    if iterations > _LOOP_MAX:  # a wider literal would be cut to 64 bits
         raise InvalidParameterError(
             f"block {spec.id}: iterations must be <= 2^64 - 1, got {iterations}"
         )
     decls, body, tail = _FAMILY_PARTS[spec.family](spec.params)
     lines = [f"/* block {spec.id}: {spec.family} */", "{"]
     lines += [f"    {d}" for d in decls]
-    lines.append(f"    for (uint64_t it = 0u; it < {int(iterations)}u; ++it) {{")
+    lines.append(f"    for (uint64_t it = 0u; it < {iterations}u; ++it) {{")
     lines += [f"        {b}" for b in body]
     lines.append("    }")
     lines += [f"    {t}" for t in tail]
@@ -678,22 +674,18 @@ def library_from_doc(doc: dict) -> BlockLibrary:
     """The library of a document that fits ``LIBRARY``.  Each block is
     checked in turn, and a malformed document raises the error of its first
     bad block.  Within a block the checks run in this order: its shape, its
-    params' shape, its profile (``EventProfile``), its id, family and param
+    profile (``EventProfile``), its id, family, params' shape and param
     ranges (``BlockSpec``).  The checks of the whole library come last: a
     duplicate id, the library's ``n0``, each profile's ``n0`` against the
     library's."""
     specs = []
     for block in doc["blocks"]:
         check(BLOCK, block, f"block {block.get('id')}")
-        block_id, family, params = block["id"], block["family"], dict(block["params"])
-        check(_PARAMS.get(family, dict), params, f"block {block_id}: malformed {family} params")
-        if family == "arithmetic":
-            params["mix"] = tuple(map(tuple, params["mix"]))
         try:
             profile = profile_from_doc(block["profile"]) if "profile" in block else None
-            specs.append(BlockSpec(block_id, family, params, profile))
+            specs.append(BlockSpec(block["id"], block["family"], block["params"], profile))
         except ProxyBenchError as exc:
-            raise type(exc)(f"block {block_id}: {exc}") from None
+            raise type(exc)(f"block {block['id']}: {exc}") from None
     return library_from_specs(specs, doc["n0"])
 
 

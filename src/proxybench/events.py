@@ -221,6 +221,8 @@ class ProxyProgram:
     def __post_init__(self):
         clean = []
         for block_id, executions in self.entries:
+            if not isinstance(block_id, str) or not block_id:
+                raise DocumentFormatError(f"block id must be a nonempty string, got {block_id!r}")
             if isinstance(executions, float) and executions.is_integer():
                 executions = int(executions)
             try:

@@ -202,7 +202,10 @@ def codec(name: str, shape, to_doc, from_doc):
     ``shape``; ``to_doc`` and ``from_doc`` convert it to and from objects."""
 
     def dump(value) -> str:
-        return dumps_canonical(to_doc(value))
+        try:
+            return dumps_canonical(to_doc(value))
+        except RecursionError:
+            raise DocumentFormatError(f"{name}: nested too deeply") from None
 
     def load(text: str):
         try:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Protocol
 
 import numpy as np
@@ -56,9 +57,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise DocumentFormatError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.epsilon < 1.0:
+        if not (isinstance(self.epsilon, Real) and 0.0 <= self.epsilon < 1.0):
             raise DocumentFormatError("epsilon must be in [0, 1)")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+        if not (isinstance(self.sigma, Real) and math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise DocumentFormatError("sigma must be finite and >= 0")
         if self.kind == "interaction":
             if self.matrix is None:

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proxybench import (
     ProxyProgram,
@@ -27,6 +29,8 @@ from proxybench.blocks import (
     _LCG_ADD as LCG_ADD,
     _LCG_MUL as LCG_MUL,
     _LCG_SEED as LCG_SEED,
+    _PARAMS,
+    ARITH_OPS,
     BlockLibrary,
     BlockSpec,
     calibrate_synthetic,
@@ -114,7 +118,27 @@ class TestConstructors:
         for params, message in self.WRONG_TYPES[family]:
             with pytest.raises(InvalidParameterError) as caught:
                 BlockSpec("b", family, params)
-            assert str(caught.value) == f"{family} params: {message}"
+            assert str(caught.value) == f"malformed {family} params: {message}"
+
+    @pytest.mark.parametrize("block_id", ["", 5, None])
+    def test_block_id_that_is_no_nonempty_string_rejected(self, block_id):
+        # an empty id would dump a library that load_library rejects
+        with pytest.raises(InvalidParameterError, match="block id must be a nonempty string"):
+            BlockSpec(block_id, "branch_predict", {"threshold": 8})
+
+    # values the constructors once coerced with int() and bool()
+    UNCOERCED = {
+        "fractional stride": lambda: make_memory_block(8.5, 64),
+        "string stride": lambda: make_memory_block("8", 64),
+        "boolean threshold": lambda: make_branch_block(True),
+        "fractional repetitions": lambda: make_arith_block([("add", 2.9)]),
+        "string fp": lambda: make_arith_block([("add", 2)], fp="no"),
+    }
+
+    @pytest.mark.parametrize("case", UNCOERCED)
+    def test_constructors_pass_params_on_as_given(self, case):
+        with pytest.raises(InvalidParameterError, match="^malformed "):
+            self.UNCOERCED[case]()
 
     def test_arith_mix_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -739,3 +763,63 @@ class TestLoadedLibraryHash:
         loaded = load_library(text)
         assert calls == ["profile"] * len(library)
         assert loaded.blocks[uncalibrated.id].profile is None
+
+    def test_loading_checks_each_block_params_once(self, monkeypatch):
+        import proxybench.blocks as blocks_mod
+
+        shapes = []
+        original = blocks_mod.check
+
+        def counted(shape, value, what):
+            shapes.append(shape)
+            return original(shape, value, what)
+
+        library = sweep_library()
+        text = dump_library(library)
+        monkeypatch.setattr(blocks_mod, "check", counted)
+        load_library(text)
+        params_checks = [shape for shape in shapes if shape in _PARAMS.values()]
+        assert len(params_checks) == len(library)
+
+
+def mix_of(kind):
+    """(op, reps) pairs, as a list or a tuple of lists or tuples."""
+    pair = st.tuples(st.sampled_from(ARITH_OPS), st.integers(1, 10**6)).map(kind[1])
+    return st.lists(pair, min_size=1, max_size=4).map(kind[0])
+
+
+ANY_PARAMS = {
+    "memory_access": st.fixed_dictionaries(
+        {"stride": st.integers(0, 2**20 + 1), "buffer": st.integers(1, 2**32)}
+    ),
+    "function_access": st.fixed_dictionaries(
+        {"stride": st.integers(0, 2**16), "count": st.integers(1, 65537)}
+    ),
+    "branch_predict": st.fixed_dictionaries(
+        {"threshold": st.integers(-1, 1025) | st.sampled_from([True, 8.0, "8"])}
+    ),
+    "arithmetic": st.fixed_dictionaries({
+        "mix": st.sampled_from([(list, list), (list, tuple), (tuple, list), (tuple, tuple)])
+        .flatmap(mix_of),
+        "fp": st.booleans(),
+    }),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(ANY_PARAMS)).flatmap(
+        lambda family: st.tuples(st.just(family), ANY_PARAMS[family])
+    ),
+    st.text(min_size=1, max_size=6),
+)
+def test_a_block_that_constructs_loads_back_equal(family_params, block_id):
+    family, params = family_params
+    try:
+        spec = BlockSpec(block_id, family, params)
+    except InvalidParameterError:
+        assume(False)
+    calibrated = calibrate_synthetic(spec)
+    loaded = load_library(dump_library(library_from_specs([calibrated]))).blocks[block_id]
+    assert loaded == calibrated
+    assert loaded.describe() == calibrated.describe() == spec.describe()

@@ -125,6 +125,57 @@ def test_deep_nesting_is_a_format_error(documents):
             pb.load_report(text)
 
 
+def nested(depth: int):
+    value = 7
+    for _ in range(depth):
+        value = {"a": value}
+    return value
+
+
+def test_deep_report_metadata_dumps_to_a_format_error(documents):
+    report = pb.load_report(json.dumps(documents["report"]))
+    deep = pb.AccuracyReport(report.per_metric, report.per_category, report.table,
+                             {"seed": nested(3000)})
+    with pytest.raises(DocumentFormatError, match="report: nested too deeply"):
+        pb.dump_report(deep)
+
+
+def test_loaded_report_dumps_or_is_too_deep_at_every_depth(documents):
+    # ``_encode`` recurses deeper per level than the load, so some depths
+    # load and are then too deep to dump
+    for depth in range(440, 560):
+        text = mutated(documents["report"], ("metadata", "seed"), "deep")
+        text = text.replace('"deep"', json.dumps(nested(depth)))
+        try:
+            pb.dump_report(pb.load_report(text))
+        except DocumentFormatError as exc:
+            assert str(exc) == "report: nested too deeply"
+
+
+# values of a number field that compare with no number, and the error each
+# raises; a numpy float is a number
+NOT_NUMBERS = {
+    "growth None": (lambda: pb.AlignConfig(growth=None), "growth must be finite and > 0"),
+    "ins1 text": (lambda: pb.AlignConfig(ins1="x"), "ins1 must be finite and > 0"),
+    "stop_threshold text": (
+        lambda: pb.AlignConfig(stop_threshold="x"), "stop_threshold must be None or finite"
+    ),
+    "epsilon text": (lambda: pb.NoiseModel.uniform("x"), "epsilon must be in [0, 1)"),
+    "sigma None": (lambda: pb.NoiseModel.gaussian(None), "sigma must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_a_number_field_rejects_a_value_that_is_no_number(case):
+    build, message = NOT_NUMBERS[case]
+    with pytest.raises(DocumentFormatError) as caught:
+        build()
+    assert str(caught.value).startswith(message)
+    pb.AlignConfig(growth=np.float64(0.3), ins1=np.float32(1e6), stop_threshold=np.float64(0.9))
+    pb.NoiseModel.uniform(np.float64(0.1))
+    pb.NoiseModel.gaussian(np.float32(0.1))
+
+
 # (document, path, value).  At the first twelve, the old loaders raised a
 # bare TypeError, KeyError, AttributeError or ValueError; the rest loaded a
 # wrong value, coerced on the way in.

@@ -256,6 +256,12 @@ class TestValidation:
         assert ProxyProgram((("b1", 5.0),)).entries == (("b1", 5),)
         assert ProxyProgram((("b1", np.int64(7)),)).entries == (("b1", 7),)
 
+    @pytest.mark.parametrize("block_id", ["", 5, None])
+    def test_program_rejects_an_id_that_is_no_nonempty_string(self, block_id):
+        # an empty id would dump a program that load_program rejects
+        with pytest.raises(DocumentFormatError, match="block id must be a nonempty string"):
+            ProxyProgram(((block_id, 5),))
+
     def test_scaled_rejects_fractional_factor(self):
         with pytest.raises(DocumentFormatError):
             ProxyProgram((("b1", 2),)).scaled(1.5)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from proxybench import default_library, dump_library, load_library
-from proxybench.blocks import _PARAMS, BLOCK, LIBRARY, BlockSpec, library_from_specs
+from proxybench.blocks import BLOCK, LIBRARY, BlockSpec, library_from_specs
 from proxybench.errors import DocumentFormatError, InvalidParameterError, UnknownEventError
 from proxybench.events import profile_from_doc
 from proxybench.jsonutil import check
@@ -23,15 +23,13 @@ from tests.test_cli_fuzz import SETTINGS, mutated, mutation
 
 
 def block_from_doc(doc: dict) -> BlockSpec:
-    """The block of a JSON object, checked as ``BLOCK`` and by its family."""
+    """The block of a JSON object, checked as ``BLOCK``, then built from its
+    profile and its params, which ``BlockSpec`` checks by its family."""
     check(BLOCK, doc, f"block {doc.get('id')}")
-    block_id, family, params = doc["id"], doc["family"], dict(doc["params"])
-    check(_PARAMS.get(family, dict), params, f"block {block_id}: malformed {family} params")
-    if family == "arithmetic":
-        params["mix"] = tuple(map(tuple, params["mix"]))
+    block_id = doc["id"]
     try:
         profile = profile_from_doc(doc["profile"]) if "profile" in doc else None
-        return BlockSpec(block_id, family, params, profile)
+        return BlockSpec(block_id, doc["family"], doc["params"], profile)
     except (DocumentFormatError, InvalidParameterError, UnknownEventError) as exc:
         raise type(exc)(f"block {block_id}: {exc}") from None
 
