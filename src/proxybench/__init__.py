@@ -48,7 +48,6 @@ from .events import (
     dump_targets,
     load_program,
     load_targets,
-    predict_events,
 )
 from .measure import (
     Measurer,
@@ -56,6 +55,7 @@ from .measure import (
     SimulatedMachine,
     format_counts,
     parse_counts,
+    predict_events,
 )
 from .report import (
     AccuracyReport,

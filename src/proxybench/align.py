@@ -27,12 +27,11 @@ from .events import (
     TargetMetrics,
     compute_all_metrics,
     is_count,
-    predict_events,
     program_from_doc,
     program_to_doc,
 )
 from .jsonutil import codec
-from .measure import Measurer, SimulatedMachine
+from .measure import Measurer, SimulatedMachine, predict_events
 from .report import accuracy
 from .solver import (
     MetricRows,
@@ -62,7 +61,11 @@ class AlignConfig:
                 raise DocumentFormatError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
         def number(value) -> bool:  # a bool is not a number here
-            return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+            try:
+                return isinstance(value, Real) and not isinstance(value, bool) and \
+                    math.isfinite(value)
+            except OverflowError:  # an int or a Fraction past the float range
+                return False
 
         need("rounds", is_count(self.rounds), "an int >= 1")
         for name in ("growth", "ins1", "tol"):
@@ -72,6 +75,10 @@ class AlignConfig:
         need("max_iter", self.max_iter is None or is_count(self.max_iter), "None or an int >= 1")
         stop = self.stop_threshold
         need("stop_threshold", stop is None or number(stop), "None or finite")
+        for name in ("growth", "ins1", "tol", "prune_eps", "stop_threshold"):
+            value = getattr(self, name)
+            if type(value) not in (int, float, type(None)):  # a trace writes plain numbers
+                object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)

@@ -210,9 +210,11 @@ def make_branch_block(threshold: int, block_id: str | None = None) -> BlockSpec:
 
 def make_arith_block(mix, fp: bool = False, block_id: str | None = None) -> BlockSpec:
     """Dependence-chained arithmetic with the given (op, repetitions) mix."""
+    params = {"mix": mix, "fp": fp}
     if block_id is None:
+        _validate_params("arithmetic", params)  # the default id is read from the mix
         block_id = "_".join(["fpmix" if fp else "mix"] + [f"{op}{reps}" for op, reps in mix])
-    return BlockSpec(block_id, "arithmetic", {"mix": mix, "fp": fp})
+    return BlockSpec(block_id, "arithmetic", params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Hardware-event vocabulary, ratio metrics, and the linear count model.
+"""Hardware-event vocabulary, ratio metrics, and the linear count model's
+types and documents; ``measure.SimulatedMachine`` evaluates the model.
 
 A program's hardware-event counts are modeled as a linear combination of
 per-block event profiles: running block ``j`` a total of ``N_j`` times
@@ -15,15 +16,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from .errors import (
-    DocumentFormatError,
-    IncompleteProfileError,
-    UndefinedMetricError,
-    UnknownEventError,
-    UnresolvedBlockError,
-)
+from .errors import DocumentFormatError, UndefinedMetricError, UnknownEventError
 from .jsonutil import NONEMPTY, codec
 
 # Occurrences per this many block executions is the calibration convention.
@@ -259,79 +252,6 @@ class ProxyProgram:
 
     def block_ids(self) -> tuple[str, ...]:
         return tuple(b for b, _ in self.entries)
-
-
-class ProfileRows:
-    """The linear count model of one block sequence.
-
-    Holds the profile rows of the sequence's distinct blocks, absent events
-    as zero, their rows in the library, and the events any of them profiles.
-    Predicting a program over the same sequence then only scales these rows
-    by its execution counts.
-    """
-
-    def __init__(self, block_ids: tuple[str, ...], library):
-        distinct = tuple(dict.fromkeys(block_ids))
-        rows = []
-        for block_id in distinct:
-            row = library.row_index.get(block_id)
-            if row is None:
-                raise UnresolvedBlockError(f"program references unknown block {block_id!r}")
-            if library.blocks[block_id].profile is None:
-                raise IncompleteProfileError(f"block {block_id} has no calibrated profile")
-            rows.append(row)
-        counts = library.event_matrix[rows]
-        absent = np.isnan(counts)
-        present = ~absent.all(axis=0)
-        self.library = library
-        self.block_ids = tuple(block_ids)
-        self._rows = rows
-        self.events = tuple(event for event, seen in zip(EVENTS, present.tolist()) if seen)
-        self._merge = len(distinct) != len(block_ids)
-        self._counts = np.where(absent, 0.0, counts)[:, present]
-        self._n0 = float(library.n0)
-
-    def predict(self, program: ProxyProgram, interaction=None) -> dict[str, float]:
-        """Predicted counts of ``program``, whose block ids must be this
-        model's sequence, per present event in canonical order.
-
-        An ``interaction`` matrix over the library's blocks scales block j's
-        executions by max(0, 1 + sum_k M[j][k] * share_k), where k runs over
-        the program's distinct blocks and share_k is block k's part of the
-        predicted instructions."""
-        entries = program.merged().entries if self._merge else program.entries
-        executions = np.array([n for _, n in entries], dtype=float)
-        n0 = self._n0
-        # an overflow to infinity, or an infinite interaction factor times a
-        # zero count, fails the finiteness check of the counts; a NaN factor
-        # counts as 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            if interaction is not None and self._rows:
-                instructions = self._counts[:, self.events.index("instructions")] * executions / n0
-                shares = instructions / (sum(instructions.tolist()) or 1.0)
-                gathered = interaction[np.ix_(self._rows, self._rows)]
-                executions *= np.fmax(1.0 + gathered @ shares, 0.0)
-            products = self._counts * executions[:, None]
-        predicted = {}
-        for event, column in zip(self.events, products.T.tolist()):
-            try:
-                predicted[event] = math.fsum(column) / n0
-            except OverflowError:
-                # finite nonnegative terms whose sum is past the float maximum
-                predicted[event] = math.inf
-        return predicted
-
-
-def predict_events(program: ProxyProgram, library) -> MeasurementResult:
-    """Predicted counts of ``program``: sum of profile counts scaled by N_j/n0.
-
-    Duplicate entries are merged first.  The per-event sum is accumulated with
-    ``math.fsum`` and divided by ``n0`` once, so programs whose contributions
-    are exactly representable predict exactly.  An event is predicted when any
-    block of the program profiles it; blocks lacking it contribute zero.
-    """
-    predicted = ProfileRows(program.block_ids(), library).predict(program)
-    return MeasurementResult(predicted, provenance="simulated")
 
 
 def compute_metric(counts: MeasurementResult, definition: MetricDefinition) -> float:

@@ -2,12 +2,13 @@
 
 The alignment loop only needs something that can run a program and report
 event counts.  ``SimulatedMachine`` stands in for hardware at desk scale:
-it predicts counts with the linear count model and perturbs them with a
-configurable noise model, either independent per-event factors, mirroring
-the few-percent run-to-run variation real counters show, or a systematic
-interaction between library blocks, whose one matrix serves every program.
-Externally collected counter data enters through the ``.counts`` text format
-instead.
+it builds the linear count model of a program's blocks, predicts the
+program's counts with it, and perturbs them with a configurable noise model,
+either independent per-event factors, mirroring the few-percent run-to-run
+variation real counters show, or a systematic interaction between library
+blocks, whose one matrix serves every program.  ``predict_events`` is its
+noiseless measurement.  Externally collected counter data enters through the
+``.counts`` text format instead.
 
 Counts format: one ``event=value`` pair per line, ``#`` comment lines,
 decimal integers or scientific-notation reals.  To convert ``perf stat -x,``
@@ -25,21 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Protocol
 
 import numpy as np
 
-from .errors import CountsParseError, DocumentFormatError, DuplicateEventError
-# predict_events is not called here: the benchmark's tracer wraps measure.predict_events
-from .events import (  # noqa: F401
-    EVENTS,
-    MISS_ACCESS_PAIRS,
-    MeasurementResult,
-    ProfileRows,
-    ProxyProgram,
-    predict_events,
+from .errors import (
+    CountsParseError,
+    DocumentFormatError,
+    DuplicateEventError,
+    IncompleteProfileError,
+    UnresolvedBlockError,
 )
+from .events import EVENTS, MISS_ACCESS_PAIRS, MeasurementResult, ProxyProgram
 
 NOISE_KINDS = ("none", "multiplicative_uniform", "multiplicative_gaussian", "interaction")
 
@@ -61,6 +60,9 @@ class NoiseModel:
             raise DocumentFormatError("epsilon must be in [0, 1)")
         if not (isinstance(self.sigma, Real) and math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise DocumentFormatError("sigma must be finite and >= 0")
+        if not isinstance(self.seed, Integral) or isinstance(self.seed, bool):
+            raise DocumentFormatError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.kind == "interaction":
             if self.matrix is None:
                 raise DocumentFormatError("interaction noise needs a matrix")
@@ -115,10 +117,12 @@ class Measurer(Protocol):
 
 class SimulatedMachine:
     """Measurer that predicts a program's counts with the linear count model
-    (``events.ProfileRows``) and applies its noise model to them.
+    and applies its noise model to them.
 
-    It keeps the count model of the last program's block sequence, which
-    every round of an ``align`` shares.
+    The model of a block sequence holds the profile rows of its distinct
+    blocks, absent events as zero, and the events any of them profiles.  The
+    machine keeps the model of the last program's sequence, which every round
+    of an ``align`` shares, so a measurement only scales the stored rows.
     """
 
     events = EVENTS
@@ -126,27 +130,75 @@ class SimulatedMachine:
     def __init__(self, library, noise: NoiseModel = NoiseModel.none()):
         self.library = library
         self.noise = noise
-        self._model: ProfileRows | None = None
+        self._modeled = (None, None)  # the library and block ids of the model
+
+    def _build_model(self, block_ids: tuple[str, ...]) -> None:
+        library = self.library
+        distinct = tuple(dict.fromkeys(block_ids))
+        rows = []
+        for block_id in distinct:
+            row = library.row_index.get(block_id)
+            if row is None:
+                raise UnresolvedBlockError(f"program references unknown block {block_id!r}")
+            if library.blocks[block_id].profile is None:
+                raise IncompleteProfileError(f"block {block_id} has no calibrated profile")
+            rows.append(row)
+        counts = library.event_matrix[rows]
+        absent = np.isnan(counts)
+        present = ~absent.all(axis=0)
+        self._rows = rows
+        self._present = tuple(event for event, seen in zip(EVENTS, present.tolist()) if seen)
+        self._merge = len(distinct) != len(block_ids)
+        self._counts = np.where(absent, 0.0, counts)[:, present]
+        self._modeled = (library, block_ids)
+
+    def _predict(self, program: ProxyProgram, interaction=None) -> dict[str, float]:
+        """Predicted counts of ``program`` over the model's sequence, per
+        present event in canonical order.  An ``interaction`` matrix over the
+        library's blocks scales block j's executions by max(0, 1 + sum_k
+        M[j][k] * share_k), where k runs over the program's distinct blocks
+        and share_k is block k's part of the predicted instructions."""
+        entries = program.merged().entries if self._merge else program.entries
+        executions = np.array([n for _, n in entries], dtype=float)
+        n0 = float(self.library.n0)
+        # an overflow to infinity, or an infinite interaction factor times a
+        # zero count, fails the finiteness check of the counts; a NaN factor
+        # counts as 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if interaction is not None and self._rows:
+                column = self._present.index("instructions")
+                instructions = self._counts[:, column] * executions / n0
+                shares = instructions / (sum(instructions.tolist()) or 1.0)
+                gathered = interaction[np.ix_(self._rows, self._rows)]
+                executions *= np.fmax(1.0 + gathered @ shares, 0.0)
+            products = self._counts * executions[:, None]
+        predicted = {}
+        for event, column in zip(self._present, products.T.tolist()):
+            try:
+                predicted[event] = math.fsum(column) / n0
+            except OverflowError:
+                # finite nonnegative terms whose sum is past the float maximum
+                predicted[event] = math.inf
+        return predicted
 
     def measure(self, program: ProxyProgram, nonce: int = 0) -> MeasurementResult:
         """The noisy counts of ``program``: the multiplicative kinds draw one
         factor per event from a generator seeded with ``(seed, nonce)``."""
         noise = self.noise
-        model = self._model
         block_ids = program.block_ids()
-        if model is None or model.library is not self.library or model.block_ids != block_ids:
-            model = self._model = ProfileRows(block_ids, self.library)
+        if self._modeled[0] is not self.library or self._modeled[1] != block_ids:
+            self._build_model(block_ids)
         if noise.kind == "interaction" and len(noise.matrix) != len(self.library):
             raise DocumentFormatError(
                 f"interaction matrix is {len(noise.matrix)}x{len(noise.matrix)}, "
                 f"library has {len(self.library)} blocks"
             )
-        predicted = model.predict(program)
+        predicted = self._predict(program)
         if noise.kind == "none":
             return MeasurementResult(predicted, provenance="simulated")
         MeasurementResult(predicted)  # raises what noise and its clamp could hide
         if noise.kind == "interaction":
-            counts = model.predict(program, noise.matrix)
+            counts = self._predict(program, noise.matrix)
         else:
             rng = np.random.default_rng(
                 [noise.seed & 0xFFFFFFFFFFFFFFFF, nonce & 0xFFFFFFFFFFFFFFFF])
@@ -161,6 +213,18 @@ class SimulatedMachine:
                 for (event, value), delta in zip(predicted.items(), deltas.tolist())
             }
         return MeasurementResult(_clamp_miss_pairs(counts), provenance="simulated")
+
+
+def predict_events(program: ProxyProgram, library) -> MeasurementResult:
+    """Predicted counts of ``program``: sum of profile counts scaled by N_j/n0,
+    the measurement of a noiseless ``SimulatedMachine``.
+
+    Duplicate entries are merged first.  The per-event sum is accumulated with
+    ``math.fsum`` and divided by ``n0`` once, so programs whose contributions
+    are exactly representable predict exactly.  An event is predicted when any
+    block of the program profiles it; blocks lacking it contribute zero.
+    """
+    return SimulatedMachine(library).measure(program)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -54,12 +55,17 @@ class ComparisonSeries:
     y: tuple[float, ...]
 
     def __post_init__(self):
-        x = tuple(float(v) for v in self.x)
-        y = tuple(float(v) for v in self.y)
-        if len(x) != len(y):
+        for name in ("x", "y"):
+            values = getattr(self, name)
+            if not isinstance(values, Iterable):
+                raise DocumentFormatError(f"series {name} must be a sequence, got {values!r}")
+            values = tuple(values)
+            for i, value in enumerate(values):
+                if isinstance(value, bool) or not isinstance(value, Real):
+                    raise DocumentFormatError(f"series {name}[{i}] must be a number, got {value!r}")
+            object.__setattr__(self, name, tuple(map(float, values)))
+        if len(self.x) != len(self.y):
             raise DocumentFormatError("series x and y must have equal lengths")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
     def __len__(self) -> int:
         return len(self.x)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ class TestConfig:
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(DocumentFormatError, match=f"{name} must be finite and > 0"):
             AlignConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [10**400, Fraction(10**400)], ids=["int", "fraction"])
+    def test_number_past_the_float_range_rejected(self, value):
+        with pytest.raises(DocumentFormatError, match="ins1 must be finite and > 0"):
+            AlignConfig(ins1=value)
+
+    @pytest.mark.parametrize("value", [5_000_000, 5e6], ids=["int", "float"])
+    def test_plain_numbers_kept_as_given(self, value):
+        # a trace writes them as they are, so no trace byte moves
+        assert type(AlignConfig(ins1=value).ins1) is type(value)
 
 
 class TestNoiselessLoop:
@@ -167,6 +178,22 @@ class TestTrace:
         assert load_trace(text).config == config
         assert dump_trace(load_trace(text)) == text
 
+    @pytest.mark.parametrize("name, value", [
+        ("ins1", np.float32(1e6)),
+        ("growth", np.int64(3)),
+        ("growth", Fraction(1, 5)),
+        ("tol", np.float32(1e-9)),
+        ("prune_eps", np.int64(0)),
+        ("stop_threshold", Fraction(2)),
+    ], ids=repr)
+    def test_trace_with_a_number_of_another_type_round_trips(self, library, rng, name, value):
+        # such a number is stored as a float, which a trace can write
+        _, targets, _ = hidden_targets(library, rng)
+        config = AlignConfig(**{"rounds": 2, "ins1": 5e6, name: value})
+        assert type(getattr(config, name)) is float and getattr(config, name) == float(value)
+        _, trace = align(library, targets, config, SimulatedMachine(library))
+        assert load_trace(dump_trace(trace)) == trace
+
     def test_early_stop_flag(self, library, rng):
         _, targets, ins1 = hidden_targets(library, rng)
         config = AlignConfig(rounds=10, ins1=ins1, stop_threshold=0.999)
@@ -265,6 +292,24 @@ class TestSolverWork:
         align(library, targets, config, machine)
         assert len(recorded_solves) == 10
         assert sum(call[3].iterations for call in recorded_solves[1:]) <= 9
+
+
+    def test_ten_round_align_builds_its_count_model_once(self, library, rng, monkeypatch):
+        # every round measures the same block sequence, so the machine keeps
+        # the model that round 1 built
+        builds = []
+        build = SimulatedMachine._build_model
+
+        def counted(machine, block_ids):
+            builds.append(block_ids)
+            return build(machine, block_ids)
+
+        _, targets, ins1 = hidden_targets(library, rng)
+        monkeypatch.setattr(SimulatedMachine, "_build_model", counted)
+        machine = SimulatedMachine(library, NoiseModel.uniform(0.02, seed=5))
+        _, trace = align(library, targets, AlignConfig(rounds=10, ins1=ins1), machine)
+        assert len(trace.rounds) == 10
+        assert builds == [trace.rounds[0].program.block_ids()]
 
 
 class TestInstructionTotal:

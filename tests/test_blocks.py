@@ -140,6 +140,15 @@ class TestConstructors:
         with pytest.raises(InvalidParameterError, match="^malformed "):
             self.UNCOERCED[case]()
 
+    @pytest.mark.parametrize("mix", [5, None, [("add",)]], ids=["int", "none", "short_pair"])
+    def test_malformed_mix_without_block_id_rejected(self, mix):
+        # the default id is read from the mix, so the mix is checked first
+        with pytest.raises(InvalidParameterError) as named:
+            make_arith_block(mix, block_id="x")
+        with pytest.raises(InvalidParameterError) as caught:
+            make_arith_block(mix)
+        assert str(caught.value) == str(named.value)
+
     def test_arith_mix_validation(self):
         with pytest.raises(InvalidParameterError):
             make_arith_block(())

@@ -50,6 +50,17 @@ class TestNoiseModel:
         with pytest.raises(DocumentFormatError):
             NoiseModel.interaction(((-0.6,),))
 
+    @pytest.mark.parametrize("seed", ["x", 8.0, None, True, np.float64(1.0)], ids=repr)
+    def test_seed_that_is_no_integer_rejected(self, seed):
+        with pytest.raises(DocumentFormatError, match="^seed must be an integer, got "):
+            NoiseModel.uniform(0.01, seed)
+
+    def test_numpy_integer_seed_stored_as_int(self, library, program):
+        noise = NoiseModel.uniform(0.05, np.int64(99))
+        assert type(noise.seed) is int
+        assert SimulatedMachine(library, noise).measure(program, 3) == \
+            SimulatedMachine(library, NoiseModel.uniform(0.05, 99)).measure(program, 3)
+
 
 class TestSimulate:
     def test_none_equals_prediction_bitwise(self, library, program):

@@ -1,3 +1,7 @@
+import re
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +165,27 @@ class TestMeanAbsRelError:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DocumentFormatError):
             ComparisonSeries((1.0, 2.0), (1.0,))
+
+
+class TestComparisonSeries:
+    @pytest.mark.parametrize("x, y, where", [
+        (("x", 1.0), (1.0, 2.0), "x[0]"),
+        ((1.0, None), (1.0, 2.0), "x[1]"),
+        ((True, 2.0), (1.0, 2.0), "x[0]"),
+        ((1.0, 2.0), (1.0, False), "y[1]"),
+    ], ids=["string", "none", "true", "false"])
+    def test_value_that_is_no_number_rejected(self, x, y, where):
+        with pytest.raises(DocumentFormatError, match=f"^series {re.escape(where)} must be a number"):
+            ComparisonSeries(x, y)
+
+    def test_series_that_is_no_sequence_rejected(self):
+        with pytest.raises(DocumentFormatError, match="^series x must be a sequence, got None"):
+            ComparisonSeries(None, (1.0,))
+
+    def test_numbers_stored_as_floats(self):
+        series = ComparisonSeries((1, np.float32(0.5), Fraction(1, 4)), (2, 3, 4))
+        assert series.x == (1.0, 0.5, 0.25) and series.y == (2.0, 3.0, 4.0)
+        assert {type(v) for v in series.x + series.y} == {float}
 
 
 class TestBuildReport:
