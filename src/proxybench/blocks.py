@@ -55,6 +55,7 @@ a miss count past its access count.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -71,7 +72,9 @@ from .errors import (
     UnresolvedBlockError,
 )
 from .events import (
+    EVENT_INDEX,
     EVENTS,
+    MISS_ACCESS_PAIRS,
     N0_DEFAULT,
     PROFILE,
     EventProfile,
@@ -429,6 +432,8 @@ class BlockLibrary:
 # one row of the event matrix per block: the counts of ``EVENTS`` in order
 _EVENT_ROW = operator.itemgetter(*EVENTS)
 _ABSENT_ROW = (math.nan,) * len(EVENTS)
+# the columns of each miss event and of its access event
+_MISSES, _ACCESSES = ([EVENT_INDEX[e] for e in pair] for pair in zip(*MISS_ACCESS_PAIRS))
 
 
 def _event_row(counts: Mapping[str, float]) -> tuple:
@@ -673,13 +678,15 @@ def library_to_doc(library: BlockLibrary) -> dict:
 
 
 def library_from_doc(doc: dict) -> BlockLibrary:
-    """The library of a document that fits ``LIBRARY``.  Each block is
-    checked in turn, and a malformed document raises the error of its first
-    bad block.  Within a block the checks run in this order: its shape, its
-    profile (``EventProfile``), its id, family, params' shape and param
-    ranges (``BlockSpec``).  The checks of the whole library come last: a
-    duplicate id, the library's ``n0``, each profile's ``n0`` against the
-    library's."""
+    """The library of a document that fits ``LIBRARY``, decoded in columns
+    where ``_screened_library`` can, else block by block: a malformed
+    document raises the error of its first bad block.  Within a block the
+    checks run in this order: its shape, its profile (``EventProfile``), its
+    id, family, params' shape and param ranges (``BlockSpec``).  The checks
+    of the whole library come last: a duplicate id, the library's ``n0``,
+    each profile's ``n0`` against the library's."""
+    if (library := _screened_library(doc)) is not None:
+        return library
     specs = []
     for block in doc["blocks"]:
         check(BLOCK, block, f"block {block.get('id')}")
@@ -689,6 +696,50 @@ def library_from_doc(doc: dict) -> BlockLibrary:
         except ProxyBenchError as exc:
             raise type(exc)(f"block {block['id']}: {exc}") from None
     return library_from_specs(specs, doc["n0"])
+
+
+def _screened_library(doc: dict) -> BlockLibrary | None:
+    """The library of ``doc`` if each block has the keys of ``BLOCK``, params
+    that are an object and a profile of the library's ``n0`` with an int or
+    float count of each event, held to ``_validate_counts``'s rules in one
+    pass over the (blocks x events) matrix; else None."""
+    n0, blocks, rows = doc["n0"], doc["blocks"], []
+    block_keys, profile_keys, events = BLOCK.keys(), PROFILE.keys(), EVENT_INDEX.keys()
+    for block in blocks:
+        profile = block.get("profile")
+        if not (block.keys() == block_keys and type(block["params"]) is dict
+                and type(profile) is dict and profile.keys() == profile_keys
+                and type(profile["n0"]) is int and profile["n0"] == n0
+                and type(profile["counts"]) is dict and profile["counts"].keys() == events):
+            return None
+        rows.append(_EVENT_ROW(profile["counts"]))
+    if not {int, float}.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        return None  # a bool, a str or a container
+    try:
+        matrix = np.array(rows, dtype=float).reshape(len(rows), len(EVENTS))
+    except OverflowError:  # an int past the float range
+        return None
+    if not (((matrix >= 0.0) & (matrix < math.inf)).all()  # NaN fails too
+            and (matrix[:, _MISSES] <= matrix[:, _ACCESSES]).all()
+            and (matrix[:, EVENT_INDEX["instructions"]] > 0.0).all()):
+        return None
+    try:
+        library = library_from_specs([
+            BlockSpec(block["id"], block["family"], block["params"], _checked_profile(row, n0))
+            for block, row in zip(blocks, rows)
+        ], n0)
+    except ProxyBenchError:  # a bad id, family, params or library n0
+        return None
+    matrix.flags.writeable = False
+    vars(library)["event_matrix"] = matrix  # the cached property's value
+    return library
+
+
+def _checked_profile(row: tuple, n0: int) -> EventProfile:
+    """An ``EventProfile`` of counts in ``EVENTS`` order held to its rules."""
+    profile = object.__new__(EventProfile)
+    vars(profile).update(counts=MappingProxyType(dict(zip(EVENTS, map(float, row)))), n0=n0)
+    return profile
 
 
 def _text_hash(text: str) -> str:

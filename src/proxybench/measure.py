@@ -56,20 +56,34 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise DocumentFormatError(f"unknown noise kind {self.kind!r}")
-        if not (isinstance(self.epsilon, Real) and 0.0 <= self.epsilon < 1.0):
-            raise DocumentFormatError("epsilon must be in [0, 1)")
-        if not (isinstance(self.sigma, Real) and math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise DocumentFormatError("sigma must be finite and >= 0")
+        for name, high, rule in (("epsilon", 1.0, "in [0, 1)"),
+                                 ("sigma", math.inf, "finite and >= 0")):
+            value = getattr(self, name)
+            try:  # a bool is no level, and NaN fails the range test
+                valid = isinstance(value, Real) and not isinstance(value, bool) and \
+                    0.0 <= float(value) < high
+            except OverflowError:  # an int or a Fraction past the float range
+                valid = False
+            if not valid:
+                raise DocumentFormatError(f"{name} must be {rule}")
+            object.__setattr__(self, name, float(value))
         if not isinstance(self.seed, Integral) or isinstance(self.seed, bool):
             raise DocumentFormatError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         if self.kind == "interaction":
             if self.matrix is None:
                 raise DocumentFormatError("interaction noise needs a matrix")
-            size = len(self.matrix)
-            if any(len(row) != size for row in self.matrix):
+            try:
+                size = len(self.matrix)
+                square = all(len(row) == size for row in self.matrix)
+            except TypeError:  # a number, or a row that is one
+                square = False
+            if not square:
                 raise DocumentFormatError("interaction matrix must be square")
-            matrix = np.array(self.matrix, dtype=float).reshape(size, size)
+            try:
+                matrix = np.array(self.matrix, dtype=float).reshape(size, size)
+            except (TypeError, ValueError, OverflowError):  # an entry float() cannot take
+                raise DocumentFormatError("interaction matrix entries must be numbers") from None
             # NaN fails both comparisons; argmax names the first bad entry, row-major
             bad = ~((matrix >= -0.5) & (matrix < math.inf))
             if bad.any():

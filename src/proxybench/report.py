@@ -63,7 +63,10 @@ class ComparisonSeries:
             for i, value in enumerate(values):
                 if isinstance(value, bool) or not isinstance(value, Real):
                     raise DocumentFormatError(f"series {name}[{i}] must be a number, got {value!r}")
-            object.__setattr__(self, name, tuple(map(float, values)))
+            try:
+                object.__setattr__(self, name, tuple(map(float, values)))
+            except OverflowError:  # an int or a Fraction past the float range
+                raise DocumentFormatError(f"series {name}: a number past the float range") from None
         if len(self.x) != len(self.y):
             raise DocumentFormatError("series x and y must have equal lengths")
 

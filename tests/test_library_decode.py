@@ -1,14 +1,16 @@
 """The library decode against a per-block reference.
 
-``load_library`` checks each block through ``EventProfile`` and ``BlockSpec``
-and raises the error of the first bad block.  The reference here does the
-same, written out on its own.  Whatever the document, ``load_library`` must
+``load_library`` decodes a fully calibrated library in columns, and any other
+document block by block through ``EventProfile`` and ``BlockSpec``, raising
+the error of the first bad block.  The reference here decodes block by
+block, written out on its own.  Whatever the document, ``load_library`` must
 raise the reference's exception, or return the reference's library with the
 reference's event matrix.  The tests guard the decoder against a change of
 outcome on any malformed document.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from proxybench import default_library, dump_library, load_library
 from proxybench.blocks import BLOCK, LIBRARY, BlockSpec, library_from_specs
 from proxybench.errors import DocumentFormatError, InvalidParameterError, UnknownEventError
-from proxybench.events import profile_from_doc
+from proxybench.events import EVENT_INDEX, profile_from_doc
 from proxybench.jsonutil import check
+from tests.test_blocks import sweep_library
 from tests.test_cli_fuzz import SETTINGS, mutated, mutation
 
 
@@ -196,3 +199,239 @@ def test_duplicate_id(document):
     assert assert_same_outcome(json.dumps(doc)) == (
         DocumentFormatError, "duplicate block id 'mem_stride32'"
     )
+
+
+# A library whose every block is calibrated, with every event, is decoded in
+# columns: one screen of its blocks and one pass over its count matrix.  The
+# cases below hold that decode to the reference too.
+
+
+@pytest.fixture(scope="module", params=["default", "sweep"])
+def calibrated(request):
+    """A fully calibrated library document."""
+    make = {"default": default_library, "sweep": sweep_library}[request.param]
+    return json.loads(dump_library(make()))
+
+
+def test_mutated_calibrated_library_decodes_as_the_reference(calibrated):
+    @settings(SETTINGS, max_examples=300)
+    @given(mutation({"library": calibrated}, "library"))
+    def check_one(change):
+        assert_same_outcome(mutated(calibrated, *change))
+
+    check_one()
+
+
+def test_calibrated_load_checks_each_block_once(calibrated, monkeypatch):
+    import proxybench.blocks as blocks_mod
+    import proxybench.events as events_mod
+
+    calls = []
+    validate, shape_check = events_mod._validate_counts, blocks_mod.check
+
+    def counted_validate(*args, **kwargs):
+        calls.append("counts")
+        return validate(*args, **kwargs)
+
+    def counted_check(shape, value, what):
+        if shape is BLOCK:
+            calls.append(what)
+        return shape_check(shape, value, what)
+
+    text = json.dumps(calibrated)
+    monkeypatch.setattr(events_mod, "_validate_counts", counted_validate)
+    monkeypatch.setattr(blocks_mod, "check", counted_check)
+    loaded = load_library(text)
+    assert calls == []
+    # the decode's matrix is the library's, and it is the matrix that the
+    # library of the same blocks builds on first use
+    assert "event_matrix" in vars(loaded)
+    built = library_from_specs(loaded.blocks.values(), loaded.n0).event_matrix
+    assert loaded.event_matrix.tobytes() == built.tobytes()
+    assert_same_outcome(text)
+
+
+def edited(edit) -> str:
+    """The fully calibrated default library document, edited."""
+    doc = json.loads(dump_library(default_library()))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def bool_count(doc):
+    counts(doc, 3)["cycles"] = True
+
+
+def text_count(doc):
+    counts(doc, 3)["cycles"] = "7"
+
+
+def int_count_past_the_float_range(doc):
+    counts(doc, 5)["cycles"] = 10**400
+
+
+def negative_count(doc):
+    counts(doc, 8)["l1d_misses"] = -1.0
+
+
+def nan_count(doc):
+    counts(doc, 8)["cycles"] = float("nan")
+
+
+def infinite_count(doc):
+    counts(doc, 8)["cycles"] = float("inf")
+
+
+def miss_above_access_in_the_last_block(doc):
+    counts(doc, -1)["itlb_misses"] = counts(doc, -1)["itlb_accesses"] + 1.0
+
+
+def instructions_zero(doc):
+    counts(doc, 0)["instructions"] = 0.0
+
+
+def unknown_event_for_a_known_one(doc):
+    del counts(doc, 11)["vec_insts"]
+    counts(doc, 11)["widgets"] = 1.0
+
+
+def twenty_second_event(doc):
+    counts(doc, 11)["widgets"] = 1.0
+
+
+def profile_n0_other_than_the_library_n0(doc):
+    doc["blocks"][7]["profile"]["n0"] = 12345
+
+
+def profile_n0_true(doc):
+    # true == 1, so every other n0 is 1
+    doc["n0"] = 1
+    for block in doc["blocks"]:
+        block["profile"]["n0"] = 1
+    doc["blocks"][7]["profile"]["n0"] = True
+
+
+def library_n0_zero(doc):
+    doc["n0"] = 0
+    for block in doc["blocks"]:
+        block["profile"]["n0"] = 0
+
+
+def comment_closing_id(doc):
+    doc["blocks"][7]["id"] = "mem*/x"
+
+
+def duplicate_id(doc):
+    doc["blocks"][11]["id"] = doc["blocks"][2]["id"]
+
+
+def family_not_a_string(doc):
+    doc["blocks"][7]["family"] = 5
+
+
+def extra_block_key(doc):
+    doc["blocks"][7]["note"] = "x"
+
+
+def params_as_pairs(doc):
+    doc["blocks"][7]["params"] = [["stride", 1024], ["buffer", 67108864]]
+
+
+def extra_profile_key(doc):
+    doc["blocks"][7]["profile"]["extra"] = 1
+
+
+def counts_a_list(doc):
+    doc["blocks"][7]["profile"]["counts"] = []
+
+
+def stride_zero(doc):
+    doc["blocks"][11]["params"]["stride"] = 0
+
+
+# one edit for each screen of the column decode, and of the checks that it
+# leaves to BlockSpec and BlockLibrary, with the error the reference raises
+SCREENS = {
+    bool_count: (DocumentFormatError, (
+        "block mem_stride64: profile.counts.cycles: expected a finite number, got true")),
+    text_count: (DocumentFormatError, (
+        'block mem_stride64: profile.counts.cycles: expected a finite number, got "7"')),
+    int_count_past_the_float_range: (DocumentFormatError, (
+        "block mem_stride256: profile.counts.cycles: expected a finite number, "
+        "got 1000000000000000000000000000000000000...")),
+    negative_count: (DocumentFormatError, (
+        "block mem_stride4096: profile: count for l1d_misses must be finite and >= 0")),
+    nan_count: (DocumentFormatError, (
+        "block mem_stride4096: profile.counts.cycles: expected a finite number, got NaN")),
+    infinite_count: (DocumentFormatError, (
+        "block mem_stride4096: profile.counts.cycles: expected a finite number, got Infinity")),
+    miss_above_access_in_the_last_block: (DocumentFormatError, (
+        "block fpmix_div8: profile: itlb_misses=130000001.0 exceeds itlb_accesses=130000000.0")),
+    instructions_zero: (DocumentFormatError, (
+        "block mem_stride8: profile must have instructions > 0")),
+    unknown_event_for_a_known_one: (UnknownEventError, (
+        "block fn_stride1024: unknown event name: 'widgets'")),
+    twenty_second_event: (UnknownEventError, (
+        "block fn_stride1024: unknown event name: 'widgets'")),
+    profile_n0_other_than_the_library_n0: (DocumentFormatError, (
+        "block mem_stride1024: profile n0 12345 != library n0 10000000")),
+    profile_n0_true: (DocumentFormatError, (
+        "block mem_stride1024: profile.n0: expected an integer, got true")),
+    library_n0_zero: (DocumentFormatError, (
+        "block mem_stride8: profile n0 must be a positive integer, got 0")),
+    comment_closing_id: (InvalidParameterError, (
+        "block mem*/x: block id must not contain '*/', got 'mem*/x'")),
+    duplicate_id: (DocumentFormatError, "duplicate block id 'mem_stride32'"),
+    family_not_a_string: (DocumentFormatError, (
+        "block mem_stride1024: family: expected a string, got 5")),
+    extra_block_key: (DocumentFormatError, "block mem_stride1024: unknown keys ['note']"),
+    params_as_pairs: (DocumentFormatError, (
+        'block mem_stride1024: params: expected an object, '
+        'got [["stride", 1024], ["buffer", 67108864]]')),
+    extra_profile_key: (DocumentFormatError, (
+        "block mem_stride1024: profile: unknown keys ['extra']")),
+    counts_a_list: (DocumentFormatError, (
+        "block mem_stride1024: profile.counts: expected an object, got []")),
+    stride_zero: (InvalidParameterError, (
+        "block fn_stride1024: function stride must be >= 1, got 0")),
+}
+
+
+@pytest.mark.parametrize("edit", SCREENS, ids=lambda edit: edit.__name__)
+def test_each_screen_of_the_column_decode(edit):
+    assert assert_same_outcome(edited(edit)) == SCREENS[edit]
+
+
+def test_calibrated_int_counts_come_back_as_floats():
+    def int_counts(doc):
+        counts(doc, 3)["cycles"] = 123456789
+        counts(doc, 5)["cycles"] = 10**300
+        counts(doc, 6)["cycles"] = 2**53 + 1  # rounds to even, as float() does
+
+    loaded = assert_same_outcome(edited(int_counts))
+    cycles = [spec.profile.counts["cycles"] for spec in loaded.blocks.values()]
+    assert cycles[3] == 123456789.0 and cycles[5] == 1e300 and cycles[6] == float(2**53)
+
+
+def test_calibrated_negative_zero_count_kept():
+    def negative_zero(doc):
+        counts(doc, 8)["fp_insts"] = -0.0
+
+    loaded = assert_same_outcome(edited(negative_zero))
+    value = loaded.blocks["mem_stride4096"].profile.counts["fp_insts"]
+    assert value == 0.0 and math.copysign(1.0, value) == -1.0
+    assert math.copysign(1.0, loaded.event_matrix[8, EVENT_INDEX["fp_insts"]]) == -1.0
+
+
+def test_block_with_no_profile_among_calibrated_blocks():
+    def no_profile(doc):
+        del doc["blocks"][7]["profile"]
+
+    loaded = assert_same_outcome(edited(no_profile))
+    assert loaded.blocks["mem_stride1024"].profile is None
+    assert np.isnan(loaded.event_matrix[7]).all()
+
+
+def test_calibrated_library_with_no_blocks():
+    loaded = assert_same_outcome(json.dumps({"n0": 10, "blocks": []}))
+    assert len(loaded) == 0 and loaded.event_matrix.shape == (0, len(EVENT_INDEX))

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,43 @@ class TestNoiseModel:
         assert type(noise.seed) is int
         assert SimulatedMachine(library, noise).measure(program, 3) == \
             SimulatedMachine(library, NoiseModel.uniform(0.05, 99)).measure(program, 3)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: NoiseModel.gaussian(10**400), "sigma must be finite and >= 0"),
+        (lambda: NoiseModel.gaussian(Fraction(10**400, 3)), "sigma must be finite and >= 0"),
+        (lambda: NoiseModel.uniform(10**400), "epsilon must be in [0, 1)"),
+        (lambda: NoiseModel.gaussian(True), "sigma must be finite and >= 0"),
+        (lambda: NoiseModel.uniform(False), "epsilon must be in [0, 1)"),
+        (lambda: NoiseModel.uniform(True), "epsilon must be in [0, 1)"),
+    ], ids=["int sigma", "fraction sigma", "int epsilon", "true sigma", "false epsilon",
+            "true epsilon"])
+    def test_level_past_the_float_range_or_a_bool_rejected(self, build, message):
+        with pytest.raises(DocumentFormatError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_levels_stored_as_floats(self):
+        assert NoiseModel.uniform(np.float32(0.5)).epsilon == 0.5
+        assert NoiseModel.gaussian(Fraction(1, 4)).sigma == 0.25
+        for noise in (NoiseModel.uniform(0), NoiseModel.gaussian(np.int64(2)), NoiseModel.none(),
+                      NoiseModel.uniform(np.float32(0.5)), NoiseModel.gaussian(Fraction(1, 4))):
+            assert type(noise.epsilon) is float and type(noise.sigma) is float
+
+    @pytest.mark.parametrize("matrix", [np.zeros(3), 5, [None], [1.0], "ab", [[0.0], [0.0]]],
+                             ids=["vector", "int", "none row", "number row", "text", "column"])
+    def test_interaction_matrix_that_is_not_square_rejected(self, matrix):
+        with pytest.raises(DocumentFormatError, match="^interaction matrix must be square$"):
+            NoiseModel.interaction(matrix)
+
+    @pytest.mark.parametrize("matrix", [[["a"]], [[[0.0, 1.0]]], [[10**400]], [[{}]]],
+                             ids=["text", "list", "int past the float range", "object"])
+    def test_interaction_entries_that_are_no_numbers_rejected(self, matrix):
+        with pytest.raises(DocumentFormatError, match="^interaction matrix entries must be numbers$"):
+            NoiseModel.interaction(matrix)
+
+    def test_interaction_matrix_of_ints_stored_as_floats(self):
+        noise = NoiseModel.interaction([[0, 1], [2, 3]])
+        assert noise.matrix.dtype == np.float64 and not noise.matrix.flags.writeable
+        assert noise.matrix.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
 
 class TestSimulate:

@@ -178,6 +178,15 @@ class TestComparisonSeries:
         with pytest.raises(DocumentFormatError, match=f"^series {re.escape(where)} must be a number"):
             ComparisonSeries(x, y)
 
+    @pytest.mark.parametrize("x, y, where", [
+        ((10**400, 1.0), (1.0, 2.0), "x"),
+        ((1.0, 2.0), (1.0, Fraction(-(10**400), 7)), "y"),
+    ], ids=["int", "fraction"])
+    def test_number_past_the_float_range_rejected(self, x, y, where):
+        with pytest.raises(DocumentFormatError,
+                           match=f"^series {where}: a number past the float range$"):
+            ComparisonSeries(x, y)
+
     def test_series_that_is_no_sequence_rejected(self):
         with pytest.raises(DocumentFormatError, match="^series x must be a sequence, got None"):
             ComparisonSeries(None, (1.0,))
