@@ -30,7 +30,7 @@ from .events import (
     program_from_doc,
     program_to_doc,
 )
-from .jsonutil import codec
+from .jsonutil import brief, codec
 from .measure import Measurer, SimulatedMachine, predict_events
 from .report import accuracy
 from .solver import (
@@ -58,7 +58,8 @@ class AlignConfig:
     def __post_init__(self):
         def need(name, valid, rule):
             if not valid:
-                raise DocumentFormatError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                value = brief(getattr(self, name))
+                raise DocumentFormatError(f"{name} must be {rule}, got {value}")
 
         def number(value) -> bool:  # a bool is not a number here
             try:

@@ -55,9 +55,9 @@ a miss count past its access count.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -74,11 +74,12 @@ from .errors import (
 from .events import (
     EVENT_INDEX,
     EVENTS,
-    MISS_ACCESS_PAIRS,
     N0_DEFAULT,
     PROFILE,
     EventProfile,
     ProxyProgram,
+    _checked_profile,
+    _valid_rows,
     profile_from_doc,
     profile_to_doc,
     require_n0,
@@ -432,8 +433,6 @@ class BlockLibrary:
 # one row of the event matrix per block: the counts of ``EVENTS`` in order
 _EVENT_ROW = operator.itemgetter(*EVENTS)
 _ABSENT_ROW = (math.nan,) * len(EVENTS)
-# the columns of each miss event and of its access event
-_MISSES, _ACCESSES = ([EVENT_INDEX[e] for e in pair] for pair in zip(*MISS_ACCESS_PAIRS))
 
 
 def _event_row(counts: Mapping[str, float]) -> tuple:
@@ -678,68 +677,46 @@ def library_to_doc(library: BlockLibrary) -> dict:
 
 
 def library_from_doc(doc: dict) -> BlockLibrary:
-    """The library of a document that fits ``LIBRARY``, decoded in columns
-    where ``_screened_library`` can, else block by block: a malformed
-    document raises the error of its first bad block.  Within a block the
-    checks run in this order: its shape, its profile (``EventProfile``), its
-    id, family, params' shape and param ranges (``BlockSpec``).  The checks
-    of the whole library come last: a duplicate id, the library's ``n0``,
-    each profile's ``n0`` against the library's."""
-    if (library := _screened_library(doc)) is not None:
-        return library
-    specs = []
-    for block in doc["blocks"]:
-        check(BLOCK, block, f"block {block.get('id')}")
-        try:
-            profile = profile_from_doc(block["profile"]) if "profile" in block else None
-            specs.append(BlockSpec(block["id"], block["family"], block["params"], profile))
-        except ProxyBenchError as exc:
-            raise type(exc)(f"block {block['id']}: {exc}") from None
-    return library_from_specs(specs, doc["n0"])
-
-
-def _screened_library(doc: dict) -> BlockLibrary | None:
-    """The library of ``doc`` if each block has the keys of ``BLOCK``, params
-    that are an object and a profile of the library's ``n0`` with an int or
-    float count of each event, held to ``_validate_counts``'s rules in one
-    pass over the (blocks x events) matrix; else None."""
-    n0, blocks, rows = doc["n0"], doc["blocks"], []
+    """The library of a document that fits ``LIBRARY``, in one loop over its
+    blocks.  A block that passes C-level screens (the keys of ``BLOCK``, an
+    id and a family of type str, params that are an object, a profile of the
+    library's ``n0`` with an int or float count of each event) fills a row of
+    one count matrix, held to ``_validate_counts``'s rules in one pass.  Any
+    other block, and any whose row breaks a rule, is checked against ``BLOCK``
+    and built through ``EventProfile``, so the first bad block raises."""
+    n0, blocks, rows, numbers = doc["n0"], doc["blocks"], [], {int, float}
     block_keys, profile_keys, events = BLOCK.keys(), PROFILE.keys(), EVENT_INDEX.keys()
     for block in blocks:
         profile = block.get("profile")
-        if not (block.keys() == block_keys and type(block["params"]) is dict
-                and type(profile) is dict and profile.keys() == profile_keys
-                and type(profile["n0"]) is int and profile["n0"] == n0
-                and type(profile["counts"]) is dict and profile["counts"].keys() == events):
-            return None
-        rows.append(_EVENT_ROW(profile["counts"]))
-    if not {int, float}.issuperset(map(type, itertools.chain.from_iterable(rows))):
-        return None  # a bool, a str or a container
+        # an int n0 > 0 is a count; an event count is an int or a float, no bool
+        screened = (block.keys() == block_keys and type(block["id"]) is str and block["id"]
+                    and type(block["family"]) is str and type(block["params"]) is dict
+                    and type(profile) is dict and profile.keys() == profile_keys
+                    and type(profile["n0"]) is int and profile["n0"] == n0 > 0
+                    and type(profile["counts"]) is dict and profile["counts"].keys() == events
+                    and numbers.issuperset(map(type, row := _EVENT_ROW(profile["counts"]))))
+        rows.append(row if screened else _ABSENT_ROW)
     try:
         matrix = np.array(rows, dtype=float).reshape(len(rows), len(EVENTS))
-    except OverflowError:  # an int past the float range
-        return None
-    if not (((matrix >= 0.0) & (matrix < math.inf)).all()  # NaN fails too
-            and (matrix[:, _MISSES] <= matrix[:, _ACCESSES]).all()
-            and (matrix[:, EVENT_INDEX["instructions"]] > 0.0).all()):
-        return None
-    try:
-        library = library_from_specs([
-            BlockSpec(block["id"], block["family"], block["params"], _checked_profile(row, n0))
-            for block, row in zip(blocks, rows)
-        ], n0)
-    except ProxyBenchError:  # a bad id, family, params or library n0
-        return None
+    except OverflowError:  # an int past the float range: its block leaves the screen
+        rows = [_ABSENT_ROW if max(map(abs, row)) > sys.float_info.max else row for row in rows]
+        matrix = np.array(rows, dtype=float).reshape(len(rows), len(EVENTS))
+    specs = []
+    for index, (block, row, screened) in enumerate(zip(blocks, rows, _valid_rows(matrix).tolist())):
+        if not screened:
+            check(BLOCK, block, f"block {block.get('id')}")
+        try:
+            profile = (_checked_profile(row, n0) if screened else
+                       profile_from_doc(block["profile"]) if "profile" in block else None)
+            specs.append(BlockSpec(block["id"], block["family"], block["params"], profile))
+        except ProxyBenchError as exc:
+            raise type(exc)(f"block {block['id']}: {exc}") from None
+        if not screened and profile is not None:  # its row holds NaN
+            matrix[index] = _event_row(profile.counts)
+    library = library_from_specs(specs, n0)
     matrix.flags.writeable = False
     vars(library)["event_matrix"] = matrix  # the cached property's value
     return library
-
-
-def _checked_profile(row: tuple, n0: int) -> EventProfile:
-    """An ``EventProfile`` of counts in ``EVENTS`` order held to its rules."""
-    profile = object.__new__(EventProfile)
-    vars(profile).update(counts=MappingProxyType(dict(zip(EVENTS, map(float, row)))), n0=n0)
-    return profile
 
 
 def _text_hash(text: str) -> str:

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import DocumentFormatError, UndefinedMetricError, UnknownEventError
-from .jsonutil import NONEMPTY, codec
+from .jsonutil import NONEMPTY, brief, codec
 
 # Occurrences per this many block executions is the calibration convention.
 N0_DEFAULT = 10_000_000
@@ -63,6 +65,7 @@ MISS_ACCESS_PAIRS = (
     ("itlb_misses", "itlb_accesses"),
     ("branch_misses", "branch_insts"),
 )
+_MISSES, _ACCESSES = ([EVENT_INDEX[e] for e in pair] for pair in zip(*MISS_ACCESS_PAIRS))
 
 @dataclass(frozen=True)
 class MetricDefinition:
@@ -131,6 +134,13 @@ def _validate_counts(counts: Mapping[str, float], *, what: str, profile=False) -
     return {name: clean[name] for name in EVENTS if name in clean}
 
 
+def _valid_rows(matrix: np.ndarray) -> np.ndarray:
+    """Which rows of a count matrix pass ``_validate_counts``, NaN rows not."""
+    return (((matrix >= 0.0) & (matrix < math.inf)).all(axis=1)  # NaN fails too
+            & (matrix[:, _MISSES] <= matrix[:, _ACCESSES]).all(axis=1)
+            & (matrix[:, EVENT_INDEX["instructions"]] > 0.0))
+
+
 def is_count(value) -> bool:
     """Whether ``value`` is an int >= 1; a bool is not a count."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
@@ -159,6 +169,13 @@ class EventProfile:
 
     def __reduce__(self):
         return EventProfile, (dict(self.counts), self.n0)
+
+
+def _checked_profile(row: tuple, n0: int) -> EventProfile:
+    """The ``EventProfile`` of a row that ``_valid_rows`` passed."""
+    profile = object.__new__(EventProfile)
+    vars(profile).update(counts=MappingProxyType(dict(zip(EVENTS, map(float, row)))), n0=n0)
+    return profile
 
 
 @dataclass(frozen=True)
@@ -192,7 +209,7 @@ class TargetMetrics:
                 value = float(value)
             except (TypeError, ValueError, OverflowError):
                 raise DocumentFormatError(
-                    f"target {metric_id} must be a finite number, got {value!r}"
+                    f"target {metric_id} must be a finite number, got {brief(value)}"
                 ) from None
             if not math.isfinite(value) or value <= 0:
                 raise DocumentFormatError(f"target {metric_id} must be finite and > 0")

@@ -15,7 +15,6 @@ import sys
 import tempfile
 import types
 from json.encoder import encode_basestring_ascii
-from math import isfinite
 
 from .errors import DocumentFormatError
 
@@ -113,6 +112,7 @@ def _key(key) -> str:
 NONEMPTY = "a nonempty string"
 _NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "a boolean",
           dict: "an object", list: "a list", NONEMPTY: NONEMPTY}
+_json_text = functools.partial(json.dumps, default=repr)  # a value in memory need not be JSON
 
 
 class OptionalKey(str):
@@ -132,12 +132,7 @@ def _misfit(shape, value):
         if type(value) is not dict:
             shape = dict  # the kind to name
         elif str in shape:
-            each, values = shape[str], value.values()
-            # event counts, most of a library, pass in C loops: a sum of
-            # floats is NaN or infinite if one of them is
-            if each is float and {float} >= set(map(type, values)) and isfinite(sum(values)):
-                return None
-            pairs = value.items()
+            each, pairs = shape[str], value.items()
         else:
             if value.keys() != shape.keys():
                 unknown = sorted(value.keys() - shape.keys())
@@ -151,7 +146,7 @@ def _misfit(shape, value):
         elif kind is list:
             each, pairs = shape[0], enumerate(value)
         elif len(value) != len(shape):
-            return (), f"expected a list of {len(shape)} items, got {_text(value)}"
+            return (), f"expected a list of {len(shape)} items, got {brief(value, _json_text)}"
         else:
             pairs = enumerate(value)
     elif shape is float:
@@ -169,7 +164,7 @@ def _misfit(shape, value):
     elif type(value) is shape:  # int, str, bool or dict
         return None
     if pairs is None:
-        return (), f"expected {_NAMES[shape]}, got {_text(value)}"
+        return (), f"expected {_NAMES[shape]}, got {brief(value, _json_text)}"
     for key, item in pairs:
         item_shape = shape[key] if each is None else each
         # an int, str, bool or dict of its shape's type fits without a call;
@@ -182,8 +177,12 @@ def _misfit(shape, value):
     return None
 
 
-def _text(value) -> str:
-    text = json.dumps(value, default=repr)  # a value built in memory need not be JSON
+def brief(value, show=repr) -> str:
+    """``show(value)``, cut to 40 characters, for an error message."""
+    try:
+        text = show(value)
+    except ValueError:  # int's digit limit, or a list that holds itself
+        return f"<{type(value).__name__} too long to show>"
     return text if len(text) <= 40 else text[:37] + "..."
 
 

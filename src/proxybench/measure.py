@@ -73,21 +73,23 @@ class NoiseModel:
         if self.kind == "interaction":
             if self.matrix is None:
                 raise DocumentFormatError("interaction noise needs a matrix")
-            try:
-                size = len(self.matrix)
-                square = all(len(row) == size for row in self.matrix)
-            except TypeError:  # a number, or a row that is one
-                square = False
-            if not square:
+            try:  # as objects, so numpy reads no bool or str as a number
+                matrix = np.array(self.matrix, dtype=object)
+            except ValueError:  # rows of arrays of unequal shapes
+                matrix = np.array(None)
+            if matrix.ndim < 2 or matrix.shape[0] != matrix.shape[1]:
                 raise DocumentFormatError("interaction matrix must be square")
             try:
-                matrix = np.array(self.matrix, dtype=float).reshape(size, size)
-            except (TypeError, ValueError, OverflowError):  # an entry float() cannot take
+                if matrix.ndim > 2 or not all(isinstance(entry, Real) and
+                                              not isinstance(entry, bool) for entry in matrix.flat):
+                    raise TypeError
+                matrix = matrix.astype(float)
+            except (TypeError, OverflowError):  # OverflowError: an int past the float range
                 raise DocumentFormatError("interaction matrix entries must be numbers") from None
             # NaN fails both comparisons; argmax names the first bad entry, row-major
             bad = ~((matrix >= -0.5) & (matrix < math.inf))
             if bad.any():
-                r, c = divmod(int(bad.argmax()), size)
+                r, c = divmod(int(bad.argmax()), len(matrix))
                 raise DocumentFormatError(
                     f"interaction entry [{r}][{c}] must be finite and >= -0.5, "
                     f"got {float(matrix[r, c])}"

@@ -23,7 +23,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .events import NUMBERS, MetricDefinition, TargetMetrics
-from .jsonutil import codec
+from .jsonutil import brief, codec
 
 
 def accuracy(real_value: float, proxy_value: float) -> float:
@@ -58,7 +58,7 @@ class ComparisonSeries:
         for name in ("x", "y"):
             values = getattr(self, name)
             if not isinstance(values, Iterable):
-                raise DocumentFormatError(f"series {name} must be a sequence, got {values!r}")
+                raise DocumentFormatError(f"series {name} must be a sequence, got {brief(values)}")
             values = tuple(values)
             for i, value in enumerate(values):
                 if isinstance(value, bool) or not isinstance(value, Real):
@@ -67,6 +67,9 @@ class ComparisonSeries:
                 object.__setattr__(self, name, tuple(map(float, values)))
             except OverflowError:  # an int or a Fraction past the float range
                 raise DocumentFormatError(f"series {name}: a number past the float range") from None
+            for i, value in enumerate(getattr(self, name)):
+                if not math.isfinite(value):  # pearson would read -1.0 for a NaN
+                    raise DocumentFormatError(f"series {name}[{i}] must be finite, got {value}")
         if len(self.x) != len(self.y):
             raise DocumentFormatError("series x and y must have equal lengths")
 

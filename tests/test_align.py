@@ -72,6 +72,17 @@ class TestConfig:
         with pytest.raises(DocumentFormatError, match="ins1 must be finite and > 0"):
             AlignConfig(ins1=value)
 
+    @pytest.mark.parametrize("name", ["ins1", "prune_eps", "stop_threshold"])
+    def test_int_too_long_to_print_rejected(self, name):
+        with pytest.raises(DocumentFormatError,
+                           match=f"^{name} must be .*, got <int too long to show>$"):
+            AlignConfig(**{name: 10**5000})
+
+    def test_long_value_cut_in_the_message(self):
+        with pytest.raises(DocumentFormatError, match=r"^growth must be finite and > 0, got "
+                                                      r"'x{36}\.\.\.$"):
+            AlignConfig(growth="x" * 100)
+
     @pytest.mark.parametrize("value", [5_000_000, 5e6], ids=["int", "float"])
     def test_plain_numbers_kept_as_given(self, value):
         # a trace writes them as they are, so no trace byte moves

@@ -483,6 +483,25 @@ class TestEvaluateCommand:
         assert lines[0] == "metric\trho\tmean_rel_error"
         assert len(lines) == 1 + 14
 
+    def test_series_of_an_infinite_metric_rejected(self, tmp_path, library, capsys):
+        # cycles over a tiny instruction count overflows the cpi ratio to inf
+        rng = np.random.default_rng(7)
+        args = ["evaluate", "--series"]
+        for i in range(2):
+            real, proxy = tmp_path / f"real{i}.counts", tmp_path / f"proxy{i}.counts"
+            for path in (real, proxy):
+                write_counts(path, library, sample_hidden_program(library, rng))
+            args += [str(real), str(proxy)]
+        lines = (tmp_path / "real1.counts").read_text().splitlines()
+        lines = ["cycles=1e308" if line.startswith("cycles=") else
+                 "instructions=1e-300" if line.startswith("instructions=") else line
+                 for line in lines]
+        (tmp_path / "real1.counts").write_text("\n".join(lines) + "\n")
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: series x[1] must be finite, got inf\n"
+        assert captured.out == "metric\trho\tmean_rel_error\n"
+
     def test_odd_pair_count_rejected(self, tmp_path, capsys):
         path = tmp_path / "one.counts"
         path.write_text("cycles=1\ninstructions=1\n")

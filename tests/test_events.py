@@ -246,6 +246,14 @@ class TestValidation:
         with pytest.raises(DocumentFormatError):
             TargetMetrics({"mystery": 0.5})
 
+    def test_target_int_too_long_to_print(self):
+        with pytest.raises(DocumentFormatError, match=(
+                "^target cpi must be a finite number, got <int too long to show>$")):
+            TargetMetrics({"cpi": 10**5000})
+        with pytest.raises(DocumentFormatError, match=(
+                r"^target cpi must be a finite number, got 1{37}\.\.\.$")):
+            TargetMetrics({"cpi": int("1" * 400)})
+
     def test_program_rejects_negative_executions(self):
         with pytest.raises(DocumentFormatError):
             ProxyProgram((("b1", -1),))

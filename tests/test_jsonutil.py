@@ -213,3 +213,11 @@ def test_check_message_of_each_shape_element(shape, value, message):
     with pytest.raises(DocumentFormatError) as caught:
         check(shape, value, "doc")
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("value", [10**5000, [1, 10**5000]], ids=["int", "list"])
+def test_check_message_of_a_value_too_long_to_print(value):
+    # a value built in memory may hold an int of more digits than str() writes
+    kind = type(value).__name__
+    with pytest.raises(DocumentFormatError, match=f"^doc: expected a string, got <{kind} too long"):
+        check(str, value, "doc")

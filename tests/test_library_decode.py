@@ -1,12 +1,14 @@
 """The library decode against a per-block reference.
 
-``load_library`` decodes a fully calibrated library in columns, and any other
-document block by block through ``EventProfile`` and ``BlockSpec``, raising
-the error of the first bad block.  The reference here decodes block by
-block, written out on its own.  Whatever the document, ``load_library`` must
-raise the reference's exception, or return the reference's library with the
-reference's event matrix.  The tests guard the decoder against a change of
-outcome on any malformed document.
+``load_library`` decodes a library in one loop over its blocks.  Each block
+that passes a screen of C-level tests is built from its row of one count
+matrix, held to the count rules in columns; any other block, and any whose
+row breaks a rule, is checked against ``BLOCK`` and built through
+``EventProfile`` and ``BlockSpec`` on its own, so the first bad block raises.
+The reference here decodes block by block, written out on its own.  Whatever
+the document, ``load_library`` must raise the reference's exception, or
+return the reference's library with the reference's event matrix.  The tests
+guard the decoder against a change of outcome on any malformed document.
 """
 
 import json
@@ -201,8 +203,8 @@ def test_duplicate_id(document):
     )
 
 
-# A library whose every block is calibrated, with every event, is decoded in
-# columns: one screen of its blocks and one pass over its count matrix.  The
+# A calibrated block with every event is decoded in columns: one screen of its
+# keys and value types, and one pass over the count matrix of all blocks.  The
 # cases below hold that decode to the reference too.
 
 
@@ -349,6 +351,20 @@ def stride_zero(doc):
     doc["blocks"][11]["params"]["stride"] = 0
 
 
+def empty_id(doc):
+    doc["blocks"][7]["id"] = ""
+
+
+def id_not_a_string(doc):
+    doc["blocks"][7]["id"] = 5
+
+
+def block_without_a_profile_first(doc):
+    # the screened blocks after it are built as the reference builds them
+    del doc["blocks"][0]["profile"]
+    doc["blocks"][3]["params"]["stride"] = 0
+
+
 # one edit for each screen of the column decode, and of the checks that it
 # leaves to BlockSpec and BlockLibrary, with the error the reference raises
 SCREENS = {
@@ -394,6 +410,10 @@ SCREENS = {
         "block mem_stride1024: profile.counts: expected an object, got []")),
     stride_zero: (InvalidParameterError, (
         "block fn_stride1024: function stride must be >= 1, got 0")),
+    empty_id: (DocumentFormatError, 'block : id: expected a nonempty string, got ""'),
+    id_not_a_string: (DocumentFormatError, "block 5: id: expected a nonempty string, got 5"),
+    block_without_a_profile_first: (InvalidParameterError, (
+        "block mem_stride64: memory stride must be in [1, 2^20], got 0")),
 }
 
 
@@ -435,3 +455,70 @@ def test_block_with_no_profile_among_calibrated_blocks():
 def test_calibrated_library_with_no_blocks():
     loaded = assert_same_outcome(json.dumps({"n0": 10, "blocks": []}))
     assert len(loaded) == 0 and loaded.event_matrix.shape == (0, len(EVENT_INDEX))
+
+
+def counted_decode(text, monkeypatch):
+    """The outcome of loading ``text``, the ``_validate_counts`` calls its
+    decode made, each named by its cycles count, and its ``check(BLOCK,
+    ...)`` calls, each named by its block."""
+    import proxybench.blocks as blocks_mod
+    import proxybench.events as events_mod
+
+    validated, checked = [], []
+    validate, shape_check = events_mod._validate_counts, blocks_mod.check
+
+    def counted_validate(counts, **kwargs):
+        validated.append(counts["cycles"] if "cycles" in counts else None)
+        return validate(counts, **kwargs)
+
+    def counted_check(shape, value, what):
+        if shape is BLOCK:
+            checked.append(what)
+        return shape_check(shape, value, what)
+
+    monkeypatch.setattr(events_mod, "_validate_counts", counted_validate)
+    monkeypatch.setattr(blocks_mod, "check", counted_check)
+    try:
+        return outcome(load_library, text), validated, checked
+    finally:
+        monkeypatch.undo()
+
+
+def test_only_the_block_lacking_an_event_leaves_the_screen(monkeypatch):
+    doc = json.loads(dump_library(default_library()))
+    del counts(doc, 9)["vec_insts"]
+    counts(doc, 9)["cycles"] = 987654321.0  # names the block's validation
+    text = json.dumps(doc)
+    loaded, validated, checked = counted_decode(text, monkeypatch)
+    assert validated == [987654321.0]
+    assert checked == [f"block {doc['blocks'][9]['id']}"]
+    # the decode's matrix is the library's, with a NaN where block 9 lacks
+    # its event, and it is the matrix the library of the same blocks builds
+    assert "event_matrix" in vars(loaded)
+    built = library_from_specs(loaded.blocks.values(), loaded.n0).event_matrix
+    assert loaded.event_matrix.tobytes() == built.tobytes()
+    assert np.isnan(loaded.event_matrix).sum() == 1
+    assert np.isnan(loaded.event_matrix[9, EVENT_INDEX["vec_insts"]])
+    assert_same_outcome(text)
+
+
+def test_only_the_block_with_an_int_past_the_float_range_leaves_the_screen(monkeypatch):
+    doc = json.loads(dump_library(default_library()))
+    counts(doc, 5)["cycles"] = 10**400
+    counts(doc, 6)["cycles"] = 10**300  # an int in the float range stays in the screen
+    text = json.dumps(doc)
+    error, validated, checked = counted_decode(text, monkeypatch)
+    assert validated == [] and checked == [f"block {doc['blocks'][5]['id']}"]
+    assert error == assert_same_outcome(text) == SCREENS[int_count_past_the_float_range]
+
+
+def test_int_counts_stay_in_the_screen(monkeypatch):
+    doc = json.loads(dump_library(default_library()))
+    for block in doc["blocks"][::2]:
+        block["profile"]["counts"] = {
+            name: int(value) for name, value in block["profile"]["counts"].items()
+        }
+    text = json.dumps(doc)
+    loaded, validated, checked = counted_decode(text, monkeypatch)
+    assert validated == [] and checked == []
+    assert loaded == assert_same_outcome(text)

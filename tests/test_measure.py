@@ -94,6 +94,26 @@ class TestNoiseModel:
         with pytest.raises(DocumentFormatError, match="^interaction matrix entries must be numbers$"):
             NoiseModel.interaction(matrix)
 
+    @pytest.mark.parametrize("matrix", [[["0.25"]], [[True]], [[[0.0]]], [[np.True_]],
+                                        np.zeros((1, 1, 1)), np.array([[True]]),
+                                        [[1.0, None], [0.0, 0.0]], [[True, 0.5], [0.5, 0.5]]],
+                             ids=["numeric text", "true", "nested one-item list", "numpy true",
+                                  "3-d array", "bool array", "none", "true beside floats"])
+    def test_interaction_entries_numpy_would_convert_rejected(self, matrix):
+        with pytest.raises(DocumentFormatError, match="^interaction matrix entries must be numbers$"):
+            NoiseModel.interaction(matrix)
+
+    @pytest.mark.parametrize("matrix", [np.full((3, 3), 0.25), np.full((3, 3), 0.25, np.float32),
+                                        np.ones((3, 3), np.int64),
+                                        [[np.float64(0.25), 0.25, 0]] * 3,
+                                        [[10**30, Fraction(1, 4), np.int8(2)]] * 3],
+                             ids=["float array", "float32 array", "int array", "mixed numbers",
+                                  "int past int64"])
+    def test_interaction_matrix_of_numbers_accepted(self, matrix):
+        noise = NoiseModel.interaction(matrix)
+        assert noise.matrix.dtype == np.float64 and noise.matrix.shape == (3, 3)
+        assert noise.matrix.tolist() == np.array(matrix, dtype=float).tolist()
+
     def test_interaction_matrix_of_ints_stored_as_floats(self):
         noise = NoiseModel.interaction([[0, 1], [2, 3]])
         assert noise.matrix.dtype == np.float64 and not noise.matrix.flags.writeable

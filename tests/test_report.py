@@ -187,9 +187,24 @@ class TestComparisonSeries:
                            match=f"^series {where}: a number past the float range$"):
             ComparisonSeries(x, y)
 
+    @pytest.mark.parametrize("x, y, where, value", [
+        ((1.0, float("nan"), 3.0), (1.0, 2.0, 3.0), "x[1]", "nan"),
+        ((1.0, 2.0), (float("inf"), 2.0), "y[0]", "inf"),
+        ((1.0, 2.0), (1.0, -float("inf")), "y[1]", "-inf"),
+        ((np.float32("nan"), 2.0), (1.0, 2.0), "x[0]", "nan"),
+    ], ids=["nan", "inf", "-inf", "float32 nan"])
+    def test_value_that_is_not_finite_rejected(self, x, y, where, value):
+        # pearson would read -1.0 and the mean error NaN or inf
+        with pytest.raises(DocumentFormatError,
+                           match=f"^series {re.escape(where)} must be finite, got {value}$"):
+            ComparisonSeries(x, y)
+
     def test_series_that_is_no_sequence_rejected(self):
         with pytest.raises(DocumentFormatError, match="^series x must be a sequence, got None"):
             ComparisonSeries(None, (1.0,))
+        with pytest.raises(DocumentFormatError,
+                           match="^series y must be a sequence, got <int too long to show>$"):
+            ComparisonSeries((1.0,), 10**5000)
 
     def test_numbers_stored_as_floats(self):
         series = ComparisonSeries((1, np.float32(0.5), Fraction(1, 4)), (2, 3, 4))
