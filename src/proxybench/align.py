@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import asdict, dataclass
-from numbers import Real
 
 from .errors import AlignmentError, DocumentFormatError, ProxyBenchError
 from .events import (
@@ -30,7 +29,7 @@ from .events import (
     program_from_doc,
     program_to_doc,
 )
-from .jsonutil import brief, codec
+from .jsonutil import brief, codec, real
 from .measure import Measurer, SimulatedMachine, predict_events
 from .report import accuracy
 from .solver import (
@@ -61,12 +60,8 @@ class AlignConfig:
                 value = brief(getattr(self, name))
                 raise DocumentFormatError(f"{name} must be {rule}, got {value}")
 
-        def number(value) -> bool:  # a bool is not a number here
-            try:
-                return isinstance(value, Real) and not isinstance(value, bool) and \
-                    math.isfinite(value)
-            except OverflowError:  # an int or a Fraction past the float range
-                return False
+        def number(value) -> bool:
+            return math.isfinite(real(value, math.nan))
 
         need("rounds", is_count(self.rounds), "an int >= 1")
         for name in ("growth", "ins1", "tol"):
@@ -79,7 +74,7 @@ class AlignConfig:
         for name in ("growth", "ins1", "tol", "prune_eps", "stop_threshold"):
             value = getattr(self, name)
             if type(value) not in (int, float, type(None)):  # a trace writes plain numbers
-                object.__setattr__(self, name, float(value))
+                object.__setattr__(self, name, real(value))
 
 
 @dataclass(frozen=True)

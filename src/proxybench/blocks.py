@@ -84,7 +84,7 @@ from .events import (
     profile_to_doc,
     require_n0,
 )
-from .jsonutil import NONEMPTY, OptionalKey, check, codec
+from .jsonutil import NONEMPTY, OptionalKey, check, codec, shown
 
 # each family's params, as a library document and every BlockSpec hold them;
 # BlockSpec alone checks them, coerces no value and stores a mix as a tuple
@@ -134,7 +134,7 @@ class BlockSpec:
 
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
-            raise InvalidParameterError(f"block id must be a nonempty string, got {self.id!r}")
+            raise InvalidParameterError(f"block id must be a nonempty string, got {shown(self.id)}")
         if "*/" in self.id:  # it would end the comment that names the block in C
             raise InvalidParameterError(f"block id must not contain '*/', got {self.id!r}")
         params = dict(self.params)
@@ -162,7 +162,7 @@ def _param_str(value) -> str:
 
 def _validate_params(family: str, params: dict) -> None:
     if family not in FAMILIES:
-        raise InvalidParameterError(f"unknown block family {family!r}")
+        raise InvalidParameterError(f"unknown block family {shown(family)}")
     try:
         check(_PARAMS[family], params, f"malformed {family} params")
     except DocumentFormatError as exc:
@@ -170,19 +170,19 @@ def _validate_params(family: str, params: dict) -> None:
     if family == "memory_access":
         stride, buffer = params["stride"], params["buffer"]
         if not 1 <= stride <= 2**20:
-            raise InvalidParameterError(f"memory stride must be in [1, 2^20], got {stride}")
+            raise InvalidParameterError(f"memory stride must be in [1, 2^20], got {shown(stride)}")
         if buffer < stride:
-            raise InvalidParameterError(f"buffer ({buffer}) must be >= stride ({stride})")
+            raise InvalidParameterError(f"buffer ({shown(buffer)}) must be >= stride ({stride})")
     elif family == "function_access":
         stride, count = params["stride"], params["count"]
         if stride < 1:
-            raise InvalidParameterError(f"function stride must be >= 1, got {stride}")
+            raise InvalidParameterError(f"function stride must be >= 1, got {shown(stride)}")
         if not 2 <= count <= 65536:
-            raise InvalidParameterError(f"function count must be in [2, 65536], got {count}")
+            raise InvalidParameterError(f"function count must be in [2, 65536], got {shown(count)}")
     elif family == "branch_predict":
         threshold = params["threshold"]
         if not 0 <= threshold <= 1024:
-            raise InvalidParameterError(f"threshold must be in [0, 1024], got {threshold}")
+            raise InvalidParameterError(f"threshold must be in [0, 1024], got {shown(threshold)}")
     elif family == "arithmetic":
         mix = params["mix"]
         if not mix:
@@ -191,24 +191,27 @@ def _validate_params(family: str, params: dict) -> None:
             if op not in ARITH_OPS:
                 raise InvalidParameterError(f"unknown arithmetic op {op!r}")
             if reps < 1:
-                raise InvalidParameterError(f"repetitions must be >= 1, got {reps} for {op}")
+                raise InvalidParameterError(f"repetitions must be >= 1, got {shown(reps)} for {op}")
+        total = sum(reps for _, reps in mix)
+        if total > 65536:  # a line of C each, as many as a function pool's count
+            raise InvalidParameterError(f"repetitions must total at most 65536, got {shown(total)}")
 
 
 def make_memory_block(stride: int, buffer: int, block_id: str | None = None) -> BlockSpec:
     """Buffer walk at a fixed byte stride, wrapping at the buffer end."""
-    block_id = block_id or f"mem_s{stride}_b{buffer}"
+    block_id = block_id or f"mem_s{shown(stride, str)}_b{shown(buffer, str)}"
     return BlockSpec(block_id, "memory_access", {"stride": stride, "buffer": buffer})
 
 
 def make_function_block(stride: int, count: int, block_id: str | None = None) -> BlockSpec:
     """Calls across ``count`` sequential functions at a fixed byte stride."""
-    block_id = block_id or f"fn_s{stride}_c{count}"
+    block_id = block_id or f"fn_s{shown(stride, str)}_c{shown(count, str)}"
     return BlockSpec(block_id, "function_access", {"stride": stride, "count": count})
 
 
 def make_branch_block(threshold: int, block_id: str | None = None) -> BlockSpec:
     """Data-dependent branch taken iff a pseudo-random R > threshold."""
-    block_id = block_id or f"br_t{threshold}"
+    block_id = block_id or f"br_t{shown(threshold, str)}"
     return BlockSpec(block_id, "branch_predict", {"threshold": threshold})
 
 
@@ -226,8 +229,6 @@ def make_arith_block(mix, fp: bool = False, block_id: str | None = None) -> Bloc
 
 
 def _capacity_factor(capacity: float, footprint: float) -> float:
-    if footprint <= 0:
-        return 0.0
     return min(RATE_CAP, max(0.0, 1.0 - capacity / footprint))
 
 
@@ -241,18 +242,11 @@ def _page_fraction(stride: int) -> float:
 
 def _iteration_rates(spec: BlockSpec) -> dict[str, float]:
     """Per-iteration event rates of the documented analytic model."""
-    r = {name: 0.0 for name in (
-        "instructions", "load_insts", "store_insts", "int_insts", "fp_insts",
-        "vec_insts", "branch_insts", "branch_misses", "l1d_accesses",
-        "l1d_misses", "l1i_misses", "dtlb_misses", "itlb_misses",
-    )}
-    # exterior loop overhead shared by all families
-    r["instructions"] = 5.0
-    r["load_insts"] = 1.0
-    r["store_insts"] = 1.0
-    r["int_insts"] = 2.0
-    r["branch_insts"] = 1.0
-    r["l1d_accesses"] = 2.0
+    # exterior loop overhead shared by all families; the rest start at 0
+    r = {"instructions": 5.0, "load_insts": 1.0, "store_insts": 1.0, "int_insts": 2.0,
+         "branch_insts": 1.0, "l1d_accesses": 2.0}
+    r.update(dict.fromkeys(("fp_insts", "vec_insts", "branch_misses", "l1d_misses",
+                            "l1i_misses", "dtlb_misses", "itlb_misses"), 0.0))
 
     extra_cycles = 0.0
     l2_p = 0.5
@@ -377,10 +371,11 @@ class BlockLibrary:
         object.__setattr__(self, "_content_hash", None)
         for block_id, spec in self.blocks.items():
             if block_id != spec.id:
-                raise DocumentFormatError(f"library key {block_id!r} != block id {spec.id!r}")
+                raise DocumentFormatError(f"library key {shown(block_id)} != block id {spec.id!r}")
             if spec.profile is not None and spec.profile.n0 != self.n0:
                 raise DocumentFormatError(
-                    f"block {block_id}: profile n0 {spec.profile.n0} != library n0 {self.n0}"
+                    f"block {block_id}: profile n0 {shown(spec.profile.n0)} "
+                    f"!= library n0 {shown(self.n0)}"
                 )
 
     def __reduce__(self):
@@ -467,11 +462,9 @@ def default_library(n0: int = N0_DEFAULT, fp_variants: bool = True) -> BlockLibr
         specs.append(make_function_block(stride, FUNCTION_COUNT, f"fn_stride{stride}"))
     for threshold in BRANCH_THRESHOLDS:
         specs.append(make_branch_block(threshold, f"br_t{threshold}"))
-    for name, mix in ARITH_MIXES:
-        specs.append(make_arith_block(mix, fp=False, block_id=f"mix_{name}"))
-    if fp_variants:
+    for fp in (False, True) if fp_variants else (False,):
         for name, mix in ARITH_MIXES:
-            specs.append(make_arith_block(mix, fp=True, block_id=f"fpmix_{name}"))
+            specs.append(make_arith_block(mix, fp, f"{'fp' if fp else ''}mix_{name}"))
     return library_from_specs([calibrate_synthetic(s, n0) for s in specs], n0)
 
 
@@ -599,7 +592,7 @@ def _fragment(spec: BlockSpec, iterations: int) -> list[str]:
     sit in ``main``."""
     if iterations > _LOOP_MAX:  # a wider literal would be cut to 64 bits
         raise InvalidParameterError(
-            f"block {spec.id}: iterations must be <= 2^64 - 1, got {iterations}"
+            f"block {spec.id}: iterations must be <= 2^64 - 1, got {shown(iterations)}"
         )
     decls, body, tail = _FAMILY_PARTS[spec.family](spec.params)
     lines = [f"/* block {spec.id}: {spec.family} */", "{"]

@@ -239,10 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProxyBenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ProxyBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

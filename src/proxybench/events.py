@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DocumentFormatError, UndefinedMetricError, UnknownEventError
-from .jsonutil import NONEMPTY, brief, codec
+from .jsonutil import NONEMPTY, brief, codec, real, shown
 
 # Occurrences per this many block executions is the calibration convention.
 N0_DEFAULT = 10_000_000
@@ -109,20 +109,19 @@ def _validate_counts(counts: Mapping[str, float], *, what: str, profile=False) -
     """``counts`` as floats in canonical key order.  Every key must be an
     event and every count a finite number >= 0, no miss count may exceed its
     access count, and a ``profile`` must have instructions > 0.  Any key and
-    value may come in, so each value goes through ``float`` first."""
+    value may come in; a count other than a float must be a ``real``."""
     clean = {}
     for name, value in counts.items():
         if name not in _EVENT_SET:
-            raise UnknownEventError(f"unknown event name: {name!r}")
-        try:
-            value = float(value)
-        except (TypeError, ValueError, OverflowError):
+            raise UnknownEventError(f"unknown event name: {shown(name)}")
+        number = value if type(value) is float else real(value)
+        if number is None:
             raise DocumentFormatError(
-                f"{what}: count for {name} must be a finite number, got {value!r}"
-            ) from None
-        if not 0.0 <= value < math.inf:  # NaN fails too
+                f"{what}: count for {name} must be a finite number, got {shown(value)}"
+            )
+        if not 0.0 <= number < math.inf:  # NaN fails too
             raise DocumentFormatError(f"{what}: count for {name} must be finite and >= 0")
-        clean[name] = value
+        clean[name] = number
     for miss, access in MISS_ACCESS_PAIRS:
         if miss in clean and access in clean and clean[miss] > clean[access]:
             raise DocumentFormatError(
@@ -148,7 +147,7 @@ def is_count(value) -> bool:
 
 def require_n0(n0, what: str) -> None:
     if not is_count(n0):
-        raise DocumentFormatError(f"{what} n0 must be a positive integer, got {n0!r}")
+        raise DocumentFormatError(f"{what} n0 must be a positive integer, got {shown(n0)}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ class MeasurementResult:
     def __post_init__(self):
         if self.provenance not in ("simulated", "imported"):
             raise DocumentFormatError(
-                f"provenance must be 'simulated' or 'imported', got {self.provenance!r}"
+                f"provenance must be 'simulated' or 'imported', got {shown(self.provenance)}"
             )
         object.__setattr__(self, "counts", _validate_counts(self.counts, what="measurement"))
 
@@ -204,18 +203,17 @@ class TargetMetrics:
         for metric_id, value in self.targets.items():
             definition = METRICS_BY_ID.get(metric_id)
             if definition is None:
-                raise DocumentFormatError(f"no metric definition for {metric_id!r}")
-            try:
-                value = float(value)
-            except (TypeError, ValueError, OverflowError):
+                raise DocumentFormatError(f"no metric definition for {shown(metric_id)}")
+            number = value if type(value) is float else real(value)
+            if number is None:
                 raise DocumentFormatError(
                     f"target {metric_id} must be a finite number, got {brief(value)}"
-                ) from None
-            if not math.isfinite(value) or value <= 0:
+                )
+            if not math.isfinite(number) or number <= 0:
                 raise DocumentFormatError(f"target {metric_id} must be finite and > 0")
-            if definition.category in _BOUNDED_CATEGORIES and value > 1:
+            if definition.category in _BOUNDED_CATEGORIES and number > 1:
                 raise DocumentFormatError(f"target {metric_id} must be in (0, 1]")
-            clean[metric_id] = value
+            clean[metric_id] = number
         object.__setattr__(self, "targets", clean)
 
     def definitions(self) -> tuple[MetricDefinition, ...]:
@@ -232,18 +230,20 @@ class ProxyProgram:
         clean = []
         for block_id, executions in self.entries:
             if not isinstance(block_id, str) or not block_id:
-                raise DocumentFormatError(f"block id must be a nonempty string, got {block_id!r}")
+                raise DocumentFormatError(
+                    f"block id must be a nonempty string, got {shown(block_id)}"
+                )
             if isinstance(executions, float) and executions.is_integer():
                 executions = int(executions)
             try:
                 executions = operator.index(executions)
             except TypeError:
                 raise DocumentFormatError(
-                    f"block {block_id}: executions must be an integer, got {executions!r}"
+                    f"block {block_id}: executions must be an integer, got {shown(executions)}"
                 ) from None
             if executions < 0:
                 raise DocumentFormatError(
-                    f"block {block_id}: executions must be >= 0, got {executions}"
+                    f"block {block_id}: executions must be >= 0, got {shown(executions)}"
                 )
             clean.append((str(block_id), executions))
         object.__setattr__(self, "entries", tuple(clean))

@@ -2,19 +2,21 @@
 
 Every document this package writes goes through ``dumps_canonical`` so that
 write -> read -> write round trips are byte-identical.  Every document it
-reads is checked against a shape first, so decoders build their objects
-from values of the expected JSON types.
+reads is checked against a shape first, so decoders get values of the
+expected JSON types; ``real`` decides what a number is, there and in memory.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
 import types
 from json.encoder import encode_basestring_ascii
+from numbers import Rational, Real
 
 from .errors import DocumentFormatError
 
@@ -96,7 +98,7 @@ def _key(key) -> str:
 #
 # A shape describes a JSON value with Python literals:
 #   int            an integer: never a bool, never a float such as 8.0
-#   float          a finite number, int or float, never a bool
+#   float          a finite ``real``: an int or a float, never a bool
 #   str, bool      a string, a boolean
 #   NONEMPTY       a string other than ""
 #   dict           any object; its values are checked elsewhere
@@ -151,7 +153,7 @@ def _misfit(shape, value):
             pairs = enumerate(value)
     elif shape is float:
         # NaN and the infinities, which ``json`` reads, fail the range test
-        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        if math.isfinite(real(value, math.nan)):
             return None
     elif shape is object:  # of its values, only containers and floats can misfit
         inner = {dict: {str: object}, list: [object], float: float}.get(type(value))
@@ -177,12 +179,27 @@ def _misfit(shape, value):
     return None
 
 
-def brief(value, show=repr) -> str:
-    """``show(value)``, cut to 40 characters, for an error message."""
+def real(value, default=None):
+    """``value`` as a float if it is a real number: a ``numbers.Real`` that is
+    no bool, nor a rational past the largest float.  Else ``default``."""
+    if type(value) is not float and (  # a plain float skips the slower tests
+            not isinstance(value, Real) or isinstance(value, bool)
+            or isinstance(value, Rational) and abs(value) > sys.float_info.max):
+        return default
+    return float(value)
+
+
+def shown(value, show=repr) -> str:
+    """``show(value)``, or a stand-in for a value it cannot show."""
     try:
-        text = show(value)
+        return show(value)
     except ValueError:  # int's digit limit, or a list that holds itself
         return f"<{type(value).__name__} too long to show>"
+
+
+def brief(value, show=repr) -> str:
+    """``shown(value, show)``, cut to 40 characters, for an error message."""
+    text = shown(value, show)
     return text if len(text) <= 40 else text[:37] + "..."
 
 

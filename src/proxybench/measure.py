@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Protocol
 
 import numpy as np
@@ -39,13 +39,16 @@ from .errors import (
     UnresolvedBlockError,
 )
 from .events import EVENTS, MISS_ACCESS_PAIRS, MeasurementResult, ProxyProgram
+from .jsonutil import real, shown
 
 NOISE_KINDS = ("none", "multiplicative_uniform", "multiplicative_gaussian", "interaction")
+_LEVEL = {"multiplicative_uniform": "epsilon", "multiplicative_gaussian": "sigma"}
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Perturbation applied to simulated measurements."""
+    """Perturbation applied to simulated measurements.  A level, or the
+    matrix, that the kind does not read must be left unset."""
 
     kind: str = "none"
     epsilon: float = 0.0
@@ -55,21 +58,20 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise DocumentFormatError(f"unknown noise kind {self.kind!r}")
+            raise DocumentFormatError(f"unknown noise kind {shown(self.kind)}")
         for name, high, rule in (("epsilon", 1.0, "in [0, 1)"),
                                  ("sigma", math.inf, "finite and >= 0")):
-            value = getattr(self, name)
-            try:  # a bool is no level, and NaN fails the range test
-                valid = isinstance(value, Real) and not isinstance(value, bool) and \
-                    0.0 <= float(value) < high
-            except OverflowError:  # an int or a Fraction past the float range
-                valid = False
-            if not valid:
+            value = real(getattr(self, name), math.nan)
+            if not 0.0 <= value < high:  # NaN fails the range test
                 raise DocumentFormatError(f"{name} must be {rule}")
-            object.__setattr__(self, name, float(value))
+            if value and _LEVEL.get(self.kind) != name:  # a level the kind does not read
+                raise DocumentFormatError(f"{name} must be 0 for {self.kind} noise, got {value}")
+            object.__setattr__(self, name, value)
         if not isinstance(self.seed, Integral) or isinstance(self.seed, bool):
-            raise DocumentFormatError(f"seed must be an integer, got {self.seed!r}")
+            raise DocumentFormatError(f"seed must be an integer, got {shown(self.seed)}")
         object.__setattr__(self, "seed", int(self.seed))
+        if self.matrix is not None and self.kind != "interaction":
+            raise DocumentFormatError(f"matrix must be None for {self.kind} noise")
         if self.kind == "interaction":
             if self.matrix is None:
                 raise DocumentFormatError("interaction noise needs a matrix")
@@ -79,13 +81,10 @@ class NoiseModel:
                 matrix = np.array(None)
             if matrix.ndim < 2 or matrix.shape[0] != matrix.shape[1]:
                 raise DocumentFormatError("interaction matrix must be square")
-            try:
-                if matrix.ndim > 2 or not all(isinstance(entry, Real) and
-                                              not isinstance(entry, bool) for entry in matrix.flat):
-                    raise TypeError
-                matrix = matrix.astype(float)
-            except (TypeError, OverflowError):  # OverflowError: an int past the float range
-                raise DocumentFormatError("interaction matrix entries must be numbers") from None
+            entries = [real(entry) for entry in matrix.flat]
+            if matrix.ndim > 2 or None in entries:
+                raise DocumentFormatError("interaction matrix entries must be numbers")
+            matrix = np.array(entries, dtype=float).reshape(matrix.shape)
             # NaN fails both comparisons; argmax names the first bad entry, row-major
             bad = ~((matrix >= -0.5) & (matrix < math.inf))
             if bad.any():

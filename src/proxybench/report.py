@@ -23,7 +23,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .events import NUMBERS, MetricDefinition, TargetMetrics
-from .jsonutil import brief, codec
+from .jsonutil import brief, codec, real, shown
 
 
 def accuracy(real_value: float, proxy_value: float) -> float:
@@ -60,16 +60,17 @@ class ComparisonSeries:
             if not isinstance(values, Iterable):
                 raise DocumentFormatError(f"series {name} must be a sequence, got {brief(values)}")
             values = tuple(values)
-            for i, value in enumerate(values):
-                if isinstance(value, bool) or not isinstance(value, Real):
-                    raise DocumentFormatError(f"series {name}[{i}] must be a number, got {value!r}")
-            try:
-                object.__setattr__(self, name, tuple(map(float, values)))
-            except OverflowError:  # an int or a Fraction past the float range
-                raise DocumentFormatError(f"series {name}: a number past the float range") from None
-            for i, value in enumerate(getattr(self, name)):
-                if not math.isfinite(value):  # pearson would read -1.0 for a NaN
-                    raise DocumentFormatError(f"series {name}[{i}] must be finite, got {value}")
+            numbers = tuple(map(real, values))
+            for i, (value, number) in enumerate(zip(values, numbers)):
+                if number is None and (isinstance(value, bool) or not isinstance(value, Real)):
+                    raise DocumentFormatError(
+                        f"series {name}[{i}] must be a number, got {shown(value)}")
+            if None in numbers:
+                raise DocumentFormatError(f"series {name}: a number past the float range")
+            for i, number in enumerate(numbers):
+                if not math.isfinite(number):  # pearson would read -1.0 for a NaN
+                    raise DocumentFormatError(f"series {name}[{i}] must be finite, got {number}")
+            object.__setattr__(self, name, numbers)
         if len(self.x) != len(self.y):
             raise DocumentFormatError("series x and y must have equal lengths")
 

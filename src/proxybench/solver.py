@@ -47,6 +47,7 @@ from .errors import (
     InvalidSystemError,
 )
 from .events import EVENT_INDEX, MeasurementResult, TargetMetrics
+from .jsonutil import shown
 
 BUDGET_ROW = "budget"
 
@@ -179,7 +180,7 @@ def assemble_initial_system(rows: MetricRows, ins1: float) -> LinearSystem:
     is spread evenly over the blocks.
     """
     if ins1 <= 0:
-        raise InvalidSystemError(f"ins1 must be > 0, got {ins1}")
+        raise InvalidSystemError(f"ins1 must be > 0, got {shown(ins1)}")
     rhs = np.zeros(len(rows.row_labels))
     rhs[-1] = float(ins1)
     with np.errstate(over="ignore"):
@@ -201,7 +202,7 @@ def assemble_incremental_system(
     instructions.
     """
     if delta_ins < 0:
-        raise InvalidSystemError(f"delta_ins must be >= 0, got {delta_ins}")
+        raise InvalidSystemError(f"delta_ins must be >= 0, got {shown(delta_ins)}")
     rhs = np.zeros(len(rows.row_labels))
     denominators = []
     for i, definition in enumerate(rows.definitions):
@@ -278,7 +279,7 @@ def nnls(
     ``tol * scale`` where ``scale = max(1, ||(WA)^T Wb||_inf)``.
     """
     if tol <= 0:
-        raise InvalidSystemError(f"tol must be > 0, got {tol}")
+        raise InvalidSystemError(f"tol must be > 0, got {shown(tol)}")
     if not (np.isfinite(system.matrix).all() and np.isfinite(system.rhs).all()):
         raise InvalidSystemError("system contains NaN or Inf entries")
 
@@ -348,16 +349,12 @@ def select_blocks(solution: NnlsSolution, library, eps: float):
     """Sub-library of blocks whose solved execution share exceeds ``eps``."""
     ids = library.ids()
     if len(solution.x) != len(ids):
-        raise InvalidSystemError(
-            f"solution size {len(solution.x)} != library size {len(ids)}"
-        )
+        raise InvalidSystemError(f"solution size {len(solution.x)} != library size {len(ids)}")
     if eps < 0:
-        raise InvalidSystemError(f"eps must be >= 0, got {eps}")
+        raise InvalidSystemError(f"eps must be >= 0, got {shown(eps)}")
     keep = [block_id for block_id, value in zip(ids, solution.x) if value > eps]
     if not keep:
-        raise EmptySelectionError(
-            "every block was pruned; relax eps or enlarge the library"
-        )
+        raise EmptySelectionError("every block was pruned; relax eps or enlarge the library")
     return library.subset(keep)
 
 

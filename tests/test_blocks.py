@@ -157,6 +157,59 @@ class TestConstructors:
         with pytest.raises(InvalidParameterError):
             make_arith_block((("xor", 4),))
 
+    def test_arith_repetitions_total_at_most_65536(self):
+        # each repetition is a line of C, as each function of a pool is
+        spec = make_arith_block((("add", 32768), ("mul", 32768)))
+        assert render_program(ProxyProgram((("mix_add32768_mul32768", 1),)),
+                              library_from_specs([spec])).count("a = a ") == 65536
+        with pytest.raises(InvalidParameterError,
+                           match="^repetitions must total at most 65536, got 65537$"):
+            make_arith_block((("add", 32768), ("mul", 32769)))
+
+    # values built in memory whose digits int() cannot print, and the
+    # message each one raises; a document holds no int that long
+    TOO_LONG = {
+        "library n0": (lambda: BlockLibrary({}, -(10**5000)), DocumentFormatError,
+                       "library n0 must be a positive integer, got {}"),
+        "block id": (lambda: BlockSpec(-(10**5000), "memory_access", {}), InvalidParameterError,
+                     "block id must be a nonempty string, got {}"),
+        "family": (lambda: BlockSpec("x", -(10**5000), {}), InvalidParameterError,
+                   "unknown block family {}"),
+        "memory stride": (lambda: make_memory_block(10**5000, 10**5000, "m"),
+                          InvalidParameterError, "memory stride must be in [1, 2^20], got {}"),
+        "memory stride, default id": (lambda: make_memory_block(10**5000, 10**5000),
+                                      InvalidParameterError,
+                                      "memory stride must be in [1, 2^20], got {}"),
+        "buffer": (lambda: make_memory_block(8, -(10**5000)), InvalidParameterError,
+                   "buffer ({}) must be >= stride (8)"),
+        "function stride": (lambda: make_function_block(-(10**5000), 4), InvalidParameterError,
+                            "function stride must be >= 1, got {}"),
+        "function count": (lambda: make_function_block(64, 10**5000), InvalidParameterError,
+                           "function count must be in [2, 65536], got {}"),
+        "threshold": (lambda: make_branch_block(10**5000, "b"), InvalidParameterError,
+                      "threshold must be in [0, 1024], got {}"),
+        "threshold, default id": (lambda: make_branch_block(10**5000), InvalidParameterError,
+                                  "threshold must be in [0, 1024], got {}"),
+        "repetitions": (lambda: make_arith_block((("add", 10**5000),)), InvalidParameterError,
+                        "repetitions must total at most 65536, got {}"),
+        "library key": (lambda: BlockLibrary({10**5000: make_branch_block(8, "b")}),
+                        DocumentFormatError, "library key {} != block id 'b'"),
+        "profile n0": (lambda: BlockLibrary({"b": make_branch_block(8, "b").with_profile(
+                           EventProfile({"instructions": 1.0}, 10**5000))}, 5),
+                       DocumentFormatError, "block b: profile n0 {} != library n0 5"),
+        "iterations": (lambda: render_program(ProxyProgram((("b", 10**5000),)),
+                                              library_from_specs([make_branch_block(8, "b")])),
+                       InvalidParameterError, "block b: iterations must be <= 2^64 - 1, got {}"),
+    }
+
+    @pytest.mark.parametrize("case", TOO_LONG)
+    def test_a_value_too_long_to_print_is_named(self, case):
+        build, error, message = self.TOO_LONG[case]
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error
+        assert str(caught.value) == message.format("<int too long to show>")
+
 
 class TestSyntheticProfiles:
     def test_memory_stride64_in_small_buffer_has_no_capacity_misses(self):
@@ -635,6 +688,10 @@ class TestLibraryDocuments:
         assert str(error.value) == (
             f"block {doc['blocks'][6]['id']}: profile: count for cycles must be finite and >= 0"
         )
+
+    def test_library_key_that_is_not_its_block_id_rejected(self):
+        with pytest.raises(DocumentFormatError, match="^library key 'a' != block id 'b'$"):
+            BlockLibrary({"a": make_branch_block(8, "b")})
 
     def test_subset_preserves_order_and_n0(self, library):
         keep = library.ids()[5:10]

@@ -77,6 +77,17 @@ class TestLibraryCommand:
         assert done.returncode == 1
         assert done.stderr == "error: block fn_stride1024: unknown event name: 'widgets'\n"
 
+    @pytest.mark.parametrize("reps", [65537, 10**9])
+    def test_validate_rejects_a_mix_past_65536_repetitions(self, tmp_path, capsys, reps):
+        # a few bytes of library would otherwise render gigabytes of C
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n0": 1, "blocks": [
+            {"id": "m", "family": "arithmetic", "params": {"mix": [["add", reps]], "fp": False}},
+        ]}))
+        assert main(["library", "validate", str(bad)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: block m: repetitions must total at most 65536, got {reps}\n"
+
     def test_no_fp_variants_flag(self, tmp_path):
         path = tmp_path / "plain.json"
         assert main(["library", "init-default", str(path), "--no-fp-variants"]) == 0

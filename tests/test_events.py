@@ -1,5 +1,9 @@
 import functools
 import math
+import numbers
+import re
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -274,6 +278,62 @@ class TestValidation:
         with pytest.raises(DocumentFormatError):
             ProxyProgram((("b1", 2),)).scaled(1.5)
 
+    def test_scaled_rejects_a_negative_factor(self):
+        with pytest.raises(DocumentFormatError,
+                           match="^scale factor must be a nonnegative integer$"):
+            ProxyProgram((("b1", 2),)).scaled(-1)
+
+    def test_measurement_rejects_an_unknown_provenance(self):
+        with pytest.raises(DocumentFormatError,
+                           match="^provenance must be 'simulated' or 'imported', got 'hardware'$"):
+            MeasurementResult({"cycles": 1.0}, provenance="hardware")
+
+    @pytest.mark.parametrize("value", [True, "0.5", Decimal("0.5")],
+                             ids=["true", "numeric text", "decimal"])
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: TargetMetrics({"cpi": v}), "target cpi"),
+        (lambda v: EventProfile({"instructions": 1.0, "cycles": v}), "profile: count for cycles"),
+        (lambda v: MeasurementResult({"cycles": v}), "measurement: count for cycles"),
+    ], ids=["target", "profile", "measurement"])
+    def test_a_value_that_is_no_real_number_rejected(self, build, message, value):
+        # a real number is no bool, no text and no Decimal, as in a document
+        with pytest.raises(DocumentFormatError, match=(
+                f"^{re.escape(f'{message} must be a finite number, got {value!r}')}$")):
+            build(value)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: EventProfile({"instructions": 10**5000}),
+         "profile: count for instructions must be a finite number, got <int too long to show>"),
+        (lambda: EventProfile({"instructions": 1.0}, n0=-(10**5000)),
+         "profile n0 must be a positive integer, got <int too long to show>"),
+        (lambda: MeasurementResult({"cycles": 10**5000}),
+         "measurement: count for cycles must be a finite number, got <int too long to show>"),
+        (lambda: ProxyProgram(((-(10**5000), 1),)),
+         "block id must be a nonempty string, got <int too long to show>"),
+        (lambda: ProxyProgram((("a", -(10**5000)),)),
+         "block a: executions must be >= 0, got <int too long to show>"),
+    ], ids=["count", "profile n0", "measurement count", "program block id", "executions"])
+    def test_a_value_too_long_to_print_is_named(self, build, message):
+        with pytest.raises(DocumentFormatError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_a_key_too_long_to_print_is_named(self):
+        with pytest.raises(UnknownEventError,
+                           match="^unknown event name: <int too long to show>$"):
+            EventProfile({10**5000: 1.0})
+        with pytest.raises(DocumentFormatError,
+                           match="^no metric definition for <int too long to show>$"):
+            TargetMetrics({10**5000: 0.5})
+
+    def test_a_value_a_document_can_hold_is_shown_in_full(self):
+        n0 = "-1" + "0" * 4299  # the longest int a document can carry
+        with pytest.raises(DocumentFormatError,
+                           match=f"^profile n0 must be a positive integer, got {n0}$"):
+            load_profile(f'{{"n0": {n0}, "counts": {{"instructions": 1.0}}}}')
+        with pytest.raises(DocumentFormatError,
+                           match=f"^block a: executions must be >= 0, got {n0}$"):
+            load_program(f'{{"entries": [{{"block": "a", "executions": {n0}}}]}}')
+
     def test_event_vocabulary_is_complete(self):
         assert len(EVENTS) == 21
         assert len(METRICS) == 14
@@ -301,12 +361,14 @@ def reference_counts(counts, *, what):
     for name, value in counts.items():
         if name not in EVENTS:
             raise UnknownEventError(f"unknown event name: {name!r}")
-        try:
-            value = float(value)
-        except (TypeError, ValueError, OverflowError):
+        # a real number, no bool, and one of another type than float within
+        # the float range
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+                not isinstance(value, float) and abs(value) > sys.float_info.max):
             raise DocumentFormatError(
                 f"{what}: count for {name} must be a finite number, got {value!r}"
-            ) from None
+            )
+        value = float(value)
         if not math.isfinite(value) or value < 0:
             raise DocumentFormatError(f"{what}: count for {name} must be finite and >= 0")
         clean[name] = value

@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from hypothesis import strategies as st
 
 from proxybench import (
     AlignConfig,
+    EventProfile,
+    NoiseModel,
     SimulatedMachine,
     align,
     calibrate_synthetic,
@@ -22,7 +28,18 @@ from proxybench import (
 from proxybench.align import dump_trace, trace_to_doc
 from proxybench.blocks import ARITH_OPS, library_to_doc
 from proxybench.errors import DocumentFormatError
-from proxybench.jsonutil import NONEMPTY, OptionalKey, check, dumps_canonical
+from proxybench.events import TargetMetrics
+from proxybench.jsonutil import (
+    NONEMPTY,
+    OptionalKey,
+    brief,
+    check,
+    dumps_canonical,
+    real,
+    shown,
+    write_text_atomic,
+)
+from proxybench.report import ComparisonSeries
 from tests.conftest import hidden_targets
 
 
@@ -221,3 +238,103 @@ def test_check_message_of_a_value_too_long_to_print(value):
     kind = type(value).__name__
     with pytest.raises(DocumentFormatError, match=f"^doc: expected a string, got <{kind} too long"):
         check(str, value, "doc")
+
+
+FLOAT_MAX = sys.float_info.max
+
+# (value, what ``real`` makes of it): a float, or None for no real number
+REAL_CASES = {
+    "float": (0.5, 0.5),
+    "int": (3, 3.0),
+    "negative int": (-7, -7.0),
+    "NaN": (NAN, NAN),
+    "infinity": (-math.inf, -math.inf),
+    "largest float": (FLOAT_MAX, FLOAT_MAX),
+    "largest float as an int": (int(FLOAT_MAX), FLOAT_MAX),
+    "int just past the largest float": (int(FLOAT_MAX) + 1, None),
+    "int past the float range": (10**400, None),
+    "int too long to print": (-(10**5000), None),
+    "fraction": (Fraction(1, 4), 0.25),
+    "fraction past the float range": (Fraction(-(10**400), 7), None),
+    "numpy float64": (np.float64(1.5), 1.5),
+    "numpy float32": (np.float32(0.5), 0.5),
+    "numpy float32 NaN": (np.float32("nan"), NAN),
+    "numpy int": (np.int64(-2), -2.0),
+    "true": (True, None),
+    "false": (False, None),
+    "numpy true": (np.True_, None),
+    "numeric text": ("0.5", None),
+    "decimal": (Decimal("0.5"), None),
+    "complex": (1j, None),
+    "none": (None, None),
+    "one-item list": ([1.0], None),
+}
+
+
+@pytest.mark.parametrize("value, number", REAL_CASES.values(), ids=REAL_CASES)
+def test_real(value, number):
+    got = real(value)
+    assert repr(got) == repr(number) and type(got) is type(number)
+    assert repr(real(value, default=NAN)) == repr(NAN if got is None else got)
+
+
+@pytest.mark.parametrize("value", [value for value, _ in REAL_CASES.values()], ids=REAL_CASES)
+def test_documents_and_constructors_share_the_number_rule(value):
+    """Each number a document shape takes, and each one the constructors
+    take, is one that ``real`` accepts; a constructor names any other value
+    in the message it gives a non-number."""
+    number = real(value)
+    finite = number is not None and math.isfinite(number)
+    if type(value) in (int, float, bool, str, list, type(None)):  # a JSON value
+        fits = True
+        try:
+            check(float, value, "doc")
+        except DocumentFormatError:
+            fits = False
+        assert fits == finite
+    for build, message in (
+        (lambda: TargetMetrics({"cpi": value}), "target cpi must be a finite number"),
+        (lambda: EventProfile({"instructions": value}),
+         "profile: count for instructions must be a finite number"),
+        (lambda: ComparisonSeries((value,), (1.0,)), "series x"),
+    ):
+        if number is None:
+            with pytest.raises(DocumentFormatError, match=f"^{message}"):
+                build()
+        elif finite and number > 0:
+            build()
+    for build in (lambda: AlignConfig(prune_eps=value), lambda: NoiseModel.gaussian(value)):
+        accepts = True
+        try:
+            build()
+        except DocumentFormatError:
+            accepts = False
+        assert accepts == (finite and number >= 0)
+
+
+@pytest.mark.parametrize("value, text", [
+    (10**5000, "<int too long to show>"),
+    (-(10**4299), "-1" + "0" * 4299),
+    ("x" * 100, repr("x" * 100)),
+    (Fraction(10**5000, 3), "<Fraction too long to show>"),
+], ids=["int too long to print", "longest int a document holds", "long text", "fraction"])
+def test_shown_names_only_a_value_it_cannot_print(value, text):
+    assert shown(value) == text
+    assert brief(value) == (text if len(text) <= 40 else text[:37] + "...")
+
+
+@pytest.mark.parametrize("fail", ["write", "replace"])
+def test_a_failed_atomic_write_leaves_the_target_and_no_temp_file(tmp_path, monkeypatch, fail):
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+    text = "new\n"
+    if fail == "write":
+        text = 5  # the handle's write raises TypeError
+    else:
+        def replace(src, dst):
+            raise OSError("no room")
+        monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises((TypeError, OSError)):
+        write_text_atomic(str(target), text)
+    assert [path.name for path in tmp_path.iterdir()] == ["out.json"]
+    assert target.read_text() == "old\n"

@@ -114,6 +114,42 @@ class TestNoiseModel:
         assert noise.matrix.dtype == np.float64 and noise.matrix.shape == (3, 3)
         assert noise.matrix.tolist() == np.array(matrix, dtype=float).tolist()
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(DocumentFormatError, match="^unknown noise kind 'lognormal'$"):
+            NoiseModel("lognormal")
+
+    def test_interaction_without_a_matrix_rejected(self):
+        with pytest.raises(DocumentFormatError, match="^interaction noise needs a matrix$"):
+            NoiseModel("interaction")
+
+    def test_rows_of_arrays_of_unequal_shapes_rejected(self):
+        with pytest.raises(DocumentFormatError, match="^interaction matrix must be square$"):
+            NoiseModel.interaction([np.zeros((2, 2)), np.zeros(2)])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: NoiseModel("multiplicative_gaussian", epsilon=0.3),
+         "epsilon must be 0 for multiplicative_gaussian noise, got 0.3"),
+        (lambda: NoiseModel("multiplicative_uniform", epsilon=0.1, sigma=0.2),
+         "sigma must be 0 for multiplicative_uniform noise, got 0.2"),
+        (lambda: NoiseModel("none", epsilon=0.5, sigma=0.5),
+         "epsilon must be 0 for none noise, got 0.5"),
+        (lambda: NoiseModel("interaction", sigma=0.1, matrix=[[0.0]]),
+         "sigma must be 0 for interaction noise, got 0.1"),
+        (lambda: NoiseModel("multiplicative_uniform", epsilon=0.1, matrix=np.zeros((2, 2))),
+         "matrix must be None for multiplicative_uniform noise"),
+        (lambda: NoiseModel("none", matrix=[[0.0]]), "matrix must be None for none noise"),
+    ], ids=["epsilon of gaussian", "sigma of uniform", "levels of none", "sigma of interaction",
+            "matrix of uniform", "matrix of none"])
+    def test_a_field_the_kind_does_not_read_rejected(self, build, message):
+        # it would build a model that measures without the noise it names
+        with pytest.raises(DocumentFormatError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_a_field_the_kind_does_not_read_may_be_zero(self):
+        assert NoiseModel("multiplicative_gaussian", epsilon=0, sigma=0.1) == \
+            NoiseModel.gaussian(0.1)
+        assert NoiseModel("none", epsilon=0.0, sigma=0.0) == NoiseModel.none()
+
     def test_interaction_matrix_of_ints_stored_as_floats(self):
         noise = NoiseModel.interaction([[0, 1], [2, 3]])
         assert noise.matrix.dtype == np.float64 and not noise.matrix.flags.writeable

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -178,6 +179,11 @@ class TestComparisonSeries:
         with pytest.raises(DocumentFormatError, match=f"^series {re.escape(where)} must be a number"):
             ComparisonSeries(x, y)
 
+    def test_a_value_too_long_to_print_is_named(self):
+        with pytest.raises(DocumentFormatError,
+                           match="^series y\\[1\\] must be a number, got <list too long to show>$"):
+            ComparisonSeries((1.0, 2.0), (1.0, [10**5000]))
+
     @pytest.mark.parametrize("x, y, where", [
         ((10**400, 1.0), (1.0, 2.0), "x"),
         ((1.0, 2.0), (1.0, Fraction(-(10**400), 7)), "y"),
@@ -245,6 +251,20 @@ class TestBuildReport:
         for definition in targets.definitions():
             assert report.per_category[definition.category] <= \
                 report.per_metric[definition.id]
+
+    def test_trace_without_rounds_rejected(self, run):
+        targets, trace = run
+        with pytest.raises(IncompleteReportError, match="^trace has no rounds$"):
+            build_report(targets, dataclasses.replace(trace, rounds=()))
+
+    def test_final_round_lacking_a_target_metric_rejected(self, run):
+        targets, trace = run
+        final = trace.rounds[-1]
+        metric = next(iter(targets.targets))
+        metrics = {m: v for m, v in final.metrics.items() if m != metric}
+        rounds = trace.rounds[:-1] + (dataclasses.replace(final, metrics=metrics),)
+        with pytest.raises(IncompleteReportError, match=f"^final round lacks metric {metric}$"):
+            build_report(targets, dataclasses.replace(trace, rounds=rounds))
 
     def test_serialization_round_trip(self, run):
         targets, trace = run

@@ -282,6 +282,29 @@ class TestAssembleIncremental:
         assert system.rhs[0] < 0  # blocks only add CPI >= 1.5: flagged
         assert unreachable_rows(system) == ("cpi",)
 
+    def test_negative_budget_rejected(self, library):
+        rows = MetricRows.of(library, TargetMetrics({"cpi": 2.0}))
+        measured = MeasurementResult({"instructions": 1000.0, "cycles": 1500.0})
+        with pytest.raises(InvalidSystemError, match="^delta_ins must be >= 0, got -1.0$"):
+            assemble_incremental_system(rows, measured, -1.0)
+
+    def test_measurement_lacking_an_event_of_a_metric_rejected(self, library):
+        rows = MetricRows.of(library, TargetMetrics({"cpi": 2.0}))
+        with pytest.raises(IncompleteProfileError,
+                           match="^measurement lacks events for metric cpi$"):
+            assemble_incremental_system(rows, MeasurementResult({"instructions": 1.0}), 1.0)
+
+    @pytest.mark.parametrize("shape, message", [
+        ({"rhs": np.zeros(1)}, "row dimensions are inconsistent"),
+        ({"row_labels": ("r0",)}, "row dimensions are inconsistent"),
+        ({"col_labels": ("c0",)}, "column dimensions are inconsistent"),
+        ({"row_weights": np.array([1.0, 0.0])}, "row weights must be positive"),
+    ], ids=["rhs", "row labels", "column labels", "zero weight"])
+    def test_system_of_inconsistent_parts_rejected(self, shape, message):
+        parts = {"matrix": np.ones((2, 2)), "rhs": np.zeros(2), "row_labels": ("r0", BUDGET_ROW),
+                 "col_labels": ("c0", "c1"), "row_weights": np.ones(2)}
+        with pytest.raises(InvalidSystemError, match=f"^{message}$"):
+            LinearSystem(**(parts | shape))
 
     def test_positive_gap_with_nonpositive_row_flagged(self):
         system = LinearSystem(
@@ -325,6 +348,11 @@ class TestNnls:
     def test_nan_rejected(self):
         with pytest.raises(InvalidSystemError):
             nnls(plain_system([[np.nan]], [1.0]))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        with pytest.raises(InvalidSystemError, match=f"^tol must be > 0, got {tol}$"):
+            nnls(plain_system(np.eye(2), [1.0, 2.0]), tol=tol)
 
     def test_iteration_cap_returns_uncertified(self):
         rng = np.random.default_rng(3)
@@ -470,6 +498,25 @@ class TestSelection:
     def test_dimension_mismatch(self, library):
         with pytest.raises(InvalidSystemError):
             select_blocks(NnlsSolution(np.zeros(2), 0.0, 1), library, eps=0.0)
+
+    def test_negative_threshold_rejected(self, library):
+        sub = library.subset(library.ids()[:2])
+        with pytest.raises(InvalidSystemError, match="^eps must be >= 0, got -1e-06$"):
+            select_blocks(NnlsSolution(np.ones(2), 0.0, 1), sub, eps=-1e-6)
+
+    @pytest.mark.parametrize("name, call", [
+        ("ins1", lambda rows, low: assemble_initial_system(rows, low)),
+        ("delta_ins", lambda rows, low: assemble_incremental_system(
+            rows, MeasurementResult({"instructions": 1.0, "cycles": 1.0}), low)),
+        ("tol", lambda rows, low: nnls(plain_system(np.eye(2), [1.0, 2.0]), tol=low)),
+        ("eps", lambda rows, low: select_blocks(NnlsSolution(np.ones(0), 0.0, 1),
+                                                 BlockLibrary(), eps=low)),
+    ], ids=["ins1", "delta_ins", "tol", "eps"])
+    def test_a_bound_too_long_to_print_is_named(self, library, name, call):
+        rows = MetricRows.of(library, TargetMetrics({"cpi": 2.0}))
+        with pytest.raises(InvalidSystemError,
+                           match=f"^{name} must be .*, got <int too long to show>$"):
+            call(rows, -(10**5000))
 
     def test_full_solve_prunes_strict_subset(self, library, rng):
         from tests.conftest import hidden_targets, sample_hidden_program
