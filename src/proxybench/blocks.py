@@ -475,8 +475,8 @@ def default_library(n0: int = N0_DEFAULT, fp_variants: bool = True) -> BlockLibr
 def _memory_parts(params: dict):
     stride, buffer = params["stride"], params["buffer"]
     decls = [
-        f"volatile unsigned char *buf = buf_{buffer};",
-        "uint64_t off = 0u;",
+        f"register volatile unsigned char *buf = buf_{buffer};",
+        "register uint64_t off = 0u;",
     ]
     body = [
         "buf[off] = (unsigned char)(buf[off] + 1u);",
@@ -494,8 +494,8 @@ def _call_step(stride: int) -> int:
 def _function_parts(params: dict):
     stride, count = params["stride"], params["count"]
     decls = [
-        "uint64_t idx = 0u;",
-        "uint64_t acc = sink;",
+        "register uint64_t idx = 0u;",
+        "register uint64_t acc = sink;",
     ]
     body = [
         f"acc = tab_{count}[idx](acc);",
@@ -507,12 +507,12 @@ def _function_parts(params: dict):
 def _branch_parts(params: dict):
     threshold = params["threshold"]
     decls = [
-        f"uint64_t state = {_LCG_SEED}u;",
-        "uint64_t acc = 0u;",
+        f"register uint64_t state = {_LCG_SEED}u;",
+        "register uint64_t acc = 0u;",
     ]
     body = [
         f"state = state * {_LCG_MUL}u + {_LCG_ADD}u;",
-        "uint64_t r = (state >> 33) & 1023u;",
+        "register uint64_t r = (state >> 33) & 1023u;",
         f"if (r > {threshold}u) {{",
         "    acc += r;",
         "}",
@@ -524,14 +524,14 @@ def _arith_parts(params: dict):
     mix, fp = params["mix"], params["fp"]
     if fp:
         decls = [
-            "double a = 1.0;",
-            "double b = (double)((sink & 1u) | 1u);",
+            "register double a = 1.0;",
+            "register double b = (double)((sink & 1u) | 1u);",
         ]
         tail = ["sink += (uint64_t)a;"]
     else:
         decls = [
-            "uint64_t a = 1u;",
-            "uint64_t b = (sink & 1u) | 1u;",
+            "register uint64_t a = 1u;",
+            "register uint64_t b = (sink & 1u) | 1u;",
         ]
         tail = ["sink += a;"]
     symbol = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
@@ -617,6 +617,7 @@ def render_program(program: ProxyProgram, library: BlockLibrary) -> str:
             users.setdefault((spec.family, spec.params[shared]), {})[block_id] = spec
 
     lines = [
+        "#define _POSIX_C_SOURCE 199309L",  # clock_gettime under ISO C
         "/* generated proxy benchmark */",
         "/* compile: cc -O0 -o proxy this_file.c */",
         "#include <stdint.h>",

@@ -134,8 +134,9 @@ def _validate_counts(counts: Mapping[str, float], *, what: str, profile=False) -
 
 
 def _valid_rows(matrix: np.ndarray) -> np.ndarray:
-    """Which rows of a count matrix pass ``_validate_counts``, NaN rows not."""
-    return (((matrix >= 0.0) & (matrix < math.inf)).all(axis=1)  # NaN fails too
+    """Which rows of a count matrix pass ``_validate_counts``: no NaN row, nor
+    one holding the largest float, which an int just past it also becomes."""
+    return (((matrix >= 0.0) & (matrix < np.finfo(float).max)).all(axis=1)  # NaN fails too
             & (matrix[:, _MISSES] <= matrix[:, _ACCESSES]).all(axis=1)
             & (matrix[:, EVENT_INDEX["instructions"]] > 0.0))
 

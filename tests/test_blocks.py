@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -33,6 +34,7 @@ from proxybench.blocks import (
     ARITH_OPS,
     BlockLibrary,
     BlockSpec,
+    _iteration_rates,
     calibrate_synthetic,
     dump_library,
     library_from_specs,
@@ -533,6 +535,67 @@ class TestCalibrationSources:
         program = ProxyProgram(entries)
         stdout, _ = compile_and_run(tmp_path, render_program(program, library))
         assert f"sink={sink_reference(program, library)}\n" in stdout
+
+
+# every default block once, the proxy that the ISO C builds compile
+EVERY_BLOCK = ProxyProgram(tuple((b, 1000 + 37 * i) for i, b in enumerate(default_library().ids())))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("std", ("c99", "c11", "c17"))
+def test_proxy_compiles_as_iso_c(tmp_path, library, std):
+    source, binary = tmp_path / "proxy.c", tmp_path / "proxy"
+    source.write_text(render_program(EVERY_BLOCK, library))
+    subprocess.run(["cc", "-O0", f"-std={std}", "-Wall", "-Wextra", "-Werror", "-pedantic",
+                    "-o", str(binary), str(source)], check=True, capture_output=True)
+    run = subprocess.run([str(binary)], check=True, capture_output=True, text=True)
+    assert f"sink={sink_reference(EVERY_BLOCK, library)}\n" in run.stdout
+
+
+@functools.cache
+def cc_is_gcc() -> bool:
+    """Whether ``cc`` is GCC, which keeps ``register`` locals in registers at
+    -O0; clang, which defines ``__GNUC__`` too, ignores ``register`` there."""
+    if shutil.which("cc") is None:
+        return False
+    macros = subprocess.run(["cc", "-dM", "-E", "-x", "c", "/dev/null"],
+                            capture_output=True, text=True).stdout.split()
+    return "__GNUC__" in macros and "__clang__" not in macros
+
+
+def loop_body(assembly: str) -> list[str]:
+    """The instructions of the block loop in ``main`` of a one-block proxy's
+    ``cc -O0 -S`` output: from the label after the loop's entry ``jmp`` (the
+    first in ``main``) to the jump back to that label."""
+    lines = [line.strip() for line in assembly.splitlines()]
+    main = lines[lines.index("main:"):]
+    entry = next(i for i, line in enumerate(main) if line.startswith("jmp\t"))
+    label = next(line for line in main[entry:] if line.endswith(":"))[:-1]
+    body = []
+    for line in main[main.index(label + ":") + 1:]:
+        if line.endswith(":") or line.startswith("."):  # a label or a directive
+            continue
+        body.append(line)
+        if line.startswith("j") and line.endswith("\t" + label):
+            return body
+    raise AssertionError(f"no jump back to {label}")
+
+
+@pytest.mark.parametrize("block_id", default_library().ids())
+def test_loop_state_stays_in_registers(tmp_path, library, block_id):
+    """Each loop body reads and writes memory no more often than the count
+    model's loads and stores per iteration: block state is ``register``, and
+    only the loop counter lives on the stack."""
+    if not cc_is_gcc():
+        pytest.skip("cc is not GCC")
+    source, assembly = tmp_path / "proxy.c", tmp_path / "proxy.s"
+    source.write_text(render_program(ProxyProgram(((block_id, 1000),)), library))
+    subprocess.run(["cc", "-O0", "-S", "-o", str(assembly), str(source)],
+                   check=True, capture_output=True)
+    body = loop_body(assembly.read_text())
+    memory = [line for line in body if "(" in line and not line.startswith("lea")]
+    rates = _iteration_rates(library.blocks[block_id])
+    assert len(memory) <= rates["load_insts"] + rates["store_insts"], body
 
 
 POOL_STRIDES = (1, 63, 64, 100, 128, 192, 256, 512, 1024, 2048, 4096, 8192)

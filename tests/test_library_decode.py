@@ -13,6 +13,7 @@ guard the decoder against a change of outcome on any malformed document.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from proxybench.events import EVENT_INDEX, profile_from_doc
 from proxybench.jsonutil import check
 from tests.test_blocks import sweep_library
 from tests.test_cli_fuzz import SETTINGS, mutated, mutation
+
+FLOAT_MAX = sys.float_info.max
 
 
 def block_from_doc(doc: dict) -> BlockSpec:
@@ -272,6 +275,16 @@ def int_count_past_the_float_range(doc):
     counts(doc, 5)["cycles"] = 10**400
 
 
+def int_just_past_the_largest_float(doc):
+    # converts to the largest float without an OverflowError
+    counts(doc, 0)["instructions"] = int(FLOAT_MAX) + 1
+
+
+def int_just_past_the_largest_float_lacking_an_event(doc):
+    int_just_past_the_largest_float(doc)
+    del counts(doc, 0)["vec_insts"]
+
+
 def negative_count(doc):
     counts(doc, 8)["l1d_misses"] = -1.0
 
@@ -365,6 +378,10 @@ def block_without_a_profile_first(doc):
     doc["blocks"][3]["params"]["stride"] = 0
 
 
+PAST_THE_LARGEST_FLOAT = (
+    "block mem_stride8: profile.counts.instructions: expected a finite number, "
+    f"got {str(int(FLOAT_MAX) + 1)[:37]}...")
+
 # one edit for each screen of the column decode, and of the checks that it
 # leaves to BlockSpec and BlockLibrary, with the error the reference raises
 SCREENS = {
@@ -375,6 +392,8 @@ SCREENS = {
     int_count_past_the_float_range: (DocumentFormatError, (
         "block mem_stride256: profile.counts.cycles: expected a finite number, "
         "got 1000000000000000000000000000000000000...")),
+    int_just_past_the_largest_float: (DocumentFormatError, PAST_THE_LARGEST_FLOAT),
+    int_just_past_the_largest_float_lacking_an_event: (DocumentFormatError, PAST_THE_LARGEST_FLOAT),
     negative_count: (DocumentFormatError, (
         "block mem_stride4096: profile: count for l1d_misses must be finite and >= 0")),
     nan_count: (DocumentFormatError, (
@@ -431,6 +450,19 @@ def test_calibrated_int_counts_come_back_as_floats():
     loaded = assert_same_outcome(edited(int_counts))
     cycles = [spec.profile.counts["cycles"] for spec in loaded.blocks.values()]
     assert cycles[3] == 123456789.0 and cycles[5] == 1e300 and cycles[6] == float(2**53)
+
+
+def test_largest_float_count_loads(monkeypatch):
+    def largest_float(doc):
+        counts(doc, 0)["instructions"] = FLOAT_MAX
+
+    text = edited(largest_float)
+    loaded, validated, checked = counted_decode(text, monkeypatch)
+    # its row leaves the screen, and the block checked on its own loads
+    assert checked == ["block mem_stride8"] and len(validated) == 1
+    assert loaded.blocks["mem_stride8"].profile.counts["instructions"] == FLOAT_MAX
+    assert loaded.event_matrix[0, EVENT_INDEX["instructions"]] == FLOAT_MAX
+    assert_same_outcome(text)
 
 
 def test_calibrated_negative_zero_count_kept():
