@@ -5,7 +5,10 @@
         --traced align_wide:421-422
 
 The parent commit is unpacked with ``git archive`` into a temporary
-directory.  For each workload and seed, ``bench/run.py --workload W --seed S
+directory, and the files git sees in the working tree (tracked and untracked
+ones that are not ignored, less deleted ones) are copied into another, so
+that neither side starts with bytecode, benchmark output or other ignored
+files.  For each workload and seed, ``bench/run.py --workload W --seed S
 --seconds 30 --trace 0`` runs in both trees back to back, alternating which
 side runs first, so that both sides of a pair share the host's speed phase.
 ``--traced`` adds ``--trace 1`` pairs, of which only the layer times are
@@ -26,6 +29,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -143,6 +147,18 @@ def unpack(rev: str, directory: Path) -> str:
                           capture_output=True, text=True, check=True).stdout.strip()
 
 
+def snapshot(directory: Path) -> None:
+    """Copy into ``directory`` the files of the working tree that git sees:
+    tracked and untracked ones that are not ignored, less deleted ones."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    for name in sorted(set(listed.split("\0")) - {""}):
+        source, target = ROOT / name, directory / name
+        if os.path.lexists(source):  # a tracked file deleted in the working tree is skipped
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target, follow_symlinks=False)
+
+
 def src_lines(tree: Path) -> int:
     """The lines of the ``src/**/*.py`` files of ``tree``, as ``wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/**/*.py"))
@@ -225,9 +241,11 @@ def main(argv=None) -> int:
     report["environment"] = {name: env.get(name) for name in ENVIRONMENT}
     gated = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
     hosts = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change:
         report["parent_commit"] = unpack(args.parent, Path(parent))
-        trees = {"parent": Path(parent), "change": ROOT}
+        snapshot(Path(change))
+        trees = {"parent": Path(parent), "change": Path(change)}
         report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload, seeds in runs.items():
             pairs = run_pairs(trees, workload, seeds, args.seconds, 0, hosts)

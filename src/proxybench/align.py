@@ -205,43 +205,32 @@ def config_to_doc(config: AlignConfig) -> dict:
 
 
 def trace_to_doc(trace: AlignmentTrace) -> dict:
-    return {
-        "library_hash": trace.library_hash,
-        "config": config_to_doc(trace.config),
-        "targets": dict(trace.targets.targets),
-        "rounds": [
-            {
-                "round": record.round,
-                "program": program_to_doc(record.program),
-                "measured": {
-                    "counts": dict(record.measured.counts),
-                    "provenance": record.measured.provenance,
-                },
-                "metrics": dict(record.metrics),
-                "accuracy": dict(record.accuracy),
-                "residual_norm": record.residual_norm,
-                "unreachable": list(record.unreachable),
-            }
-            for record in trace.rounds
-        ],
-    }
+    rounds = [
+        {**vars(record), "program": program_to_doc(record.program),
+         "measured": dict(vars(record.measured))}
+        for record in trace.rounds
+    ]
+    config, targets = config_to_doc(trace.config), trace.targets.targets
+    return {**vars(trace), "rounds": rounds, "config": config, "targets": targets}
 
 
 def trace_from_doc(doc: dict) -> AlignmentTrace:
-    records = tuple(
-        RoundRecord(
-            entry["round"],
-            program_from_doc(entry["program"]),
-            MeasurementResult(entry["measured"]["counts"], entry["measured"]["provenance"]),
-            entry["metrics"],
-            entry["accuracy"],
-            entry["residual_norm"],
-            tuple(entry["unreachable"]),
-        )
-        for entry in doc["rounds"]
-    )
-    config, targets = AlignConfig(**doc["config"]), TargetMetrics(doc["targets"])
-    return AlignmentTrace(records, doc["library_hash"], config, targets)
+    where, rounds = "config", []
+    try:  # a value that a constructor rejects is named by its place in the trace
+        config = AlignConfig(**doc["config"])
+        where = "targets"
+        targets = TargetMetrics(doc["targets"])
+        for index, entry in enumerate(doc["rounds"]):
+            where = f"rounds[{index}]"
+            rounds.append(RoundRecord(**{
+                **entry,
+                "program": program_from_doc(entry["program"]),
+                "measured": MeasurementResult(**entry["measured"]),
+                "unreachable": tuple(entry["unreachable"]),
+            }))
+    except ProxyBenchError as exc:
+        raise type(exc)(f"trace: {where}: {exc}") from None
+    return AlignmentTrace(**{**doc, "rounds": tuple(rounds), "config": config, "targets": targets})
 
 
 dump_trace, load_trace = codec("trace", TRACE, trace_to_doc, trace_from_doc)

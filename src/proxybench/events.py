@@ -305,7 +305,7 @@ def profile_to_doc(profile: EventProfile) -> dict:
 
 
 def profile_from_doc(doc: dict) -> EventProfile:
-    return EventProfile(doc["counts"], doc["n0"])
+    return EventProfile(**doc)
 
 
 def program_to_doc(program: ProxyProgram) -> dict:

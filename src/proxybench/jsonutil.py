@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import types
@@ -237,12 +238,23 @@ def codec(name: str, shape, to_doc, from_doc):
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.  The file
+    gets the mode ``open(path, "w")`` would leave: an existing file keeps its
+    permission bits, and a new one gets 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        # the umask can only be read by setting it, and it is process-wide: a
+        # file another thread creates meanwhile gets the umask 0o077
+        umask = os.umask(0o077)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")  # made 0o600
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

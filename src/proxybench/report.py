@@ -144,17 +144,11 @@ REPORT = {
 
 
 def report_to_doc(report: AccuracyReport) -> dict:
-    return {
-        "per_metric": dict(report.per_metric),
-        "per_category": dict(report.per_category),
-        "table": [list(row) for row in report.table],
-        "metadata": dict(report.metadata),
-    }
+    return dict(vars(report))  # its table of tuples is written as lists
 
 
 def report_from_doc(doc: dict) -> AccuracyReport:
-    table = tuple(map(tuple, doc["table"]))
-    return AccuracyReport(doc["per_metric"], doc["per_category"], table, doc["metadata"])
+    return AccuracyReport(**{**doc, "table": tuple(map(tuple, doc["table"]))})
 
 
 dump_report, load_report = codec("report", REPORT, report_to_doc, report_from_doc)

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -17,6 +18,15 @@ from proxybench.solver import nnls
 @pytest.fixture(scope="session")
 def library():
     return default_library()
+
+
+@pytest.fixture
+def umask():
+    """``umask(mask)`` sets the process umask for one test; the old one comes
+    back after it."""
+    old = os.umask(0o022)
+    yield os.umask
+    os.umask(old)
 
 
 def sample_hidden_program(library, rng, include_fp=True, lo=10_000, hi=200_000):

@@ -3,6 +3,7 @@ hand-made pair records and temporary trees; no benchmark runs here."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -73,10 +74,15 @@ def write_tree(root, files):
         (root / name).write_text(text)
 
 
+def git(root, *args):
+    subprocess.run(["git", *args], cwd=root, check=True, capture_output=True)
+
+
 def test_each_side_records_its_source_line_count(tmp_path, monkeypatch):
     change = tmp_path / "change"
     write_tree(change, {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/sub/b.py": "z = 3\n",
                         "src/pkg/data.txt": "not python\n", "tests/test_a.py": "t = 1\n"})
+    git(change, "init", "-q")  # the change side is a copy of the files git sees
     parent_files = {"src/pkg/a.py": "x = 1\ny = 2\nw = 4\nv = 5\n"}
 
     def unpack(rev, directory):
@@ -95,6 +101,35 @@ def test_each_side_records_its_source_line_count(tmp_path, monkeypatch):
     report = json.loads((change / "BENCH_t.json").read_text())
     assert report["src_lines"] == {"parent": 4, "change": 3}
     assert bench_pairs.src_lines(change) == 3
+
+
+def test_the_change_side_runs_in_a_copy_of_the_files_git_sees(tmp_path, monkeypatch):
+    change = tmp_path / "change"
+    write_tree(change, {".gitignore": "__pycache__/\nbench/out/\n",
+                        "src/proxybench/a.py": "x = 1\n", "src/proxybench/gone.py": "y = 2\n"})
+    git(change, "init", "-q")
+    git(change, "add", "-A")
+    # an uncommitted edit, an untracked file, a deleted file and ignored ones
+    write_tree(change, {"src/proxybench/a.py": "x = 2\n", "src/proxybench/new.py": "z = 3\n",
+                        "src/proxybench/__pycache__/x.pyc": "bytecode",
+                        "bench/out/align_small-trace0.json": "{}\n"})
+    (change / "src/proxybench/gone.py").unlink()
+    seen = {}
+
+    def bench(tree, workload, seed, seconds, trace):
+        seen[tree] = {path.relative_to(tree).as_posix(): path.read_bytes()
+                      for path in tree.rglob("*") if path.is_file()}
+        return detail({}) | {"host_start": {}}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, directory: "abc1234")
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    assert bench_pairs.main(["--parent", "HEAD", "--slug", "t", "--run", "w:1"]) == 0
+    assert change not in seen
+    parent, copy = sorted(seen.values(), key=len)
+    assert parent == {}  # the stand-in parent tree is empty
+    assert copy == {".gitignore": b"__pycache__/\nbench/out/\n",
+                    "src/proxybench/a.py": b"x = 2\n", "src/proxybench/new.py": b"z = 3\n"}
 
 
 def detail(extra):
@@ -138,6 +173,7 @@ def test_the_environment_of_the_runs_is_recorded(tmp_path, monkeypatch, settings
         seen.append({name: bench_pairs.child_env().get(name) for name in settings})
         return detail({}) | {"host_start": {}}
 
+    git(tmp_path, "init", "-q")
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "unpack", lambda rev, directory: "abc1234")
     monkeypatch.setattr(bench_pairs, "bench", bench)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,24 @@ class TestAlignCommand:
         ]) == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["program.json", "proxy.c", "report.json", "trace.json"]
+
+    def test_artifacts_get_the_mode_open_would(self, library_path, targets_path, tmp_path, umask):
+        umask(0o022)
+        targets_file, _ = targets_path
+        out_dir = tmp_path / "modes"
+        out_dir.mkdir()
+        (out_dir / "trace.json").write_text("old\n")
+        (out_dir / "trace.json").chmod(0o640)
+        assert main([
+            "align", str(targets_file),
+            "--library", str(library_path),
+            "--out", str(out_dir),
+            "--ins1", "5e6", "--rounds", "1",
+        ]) == 0
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out_dir.iterdir()}
+        # new files get 0o666 less the umask; an overwritten file keeps its mode
+        assert modes == {"program.json": 0o644, "proxy.c": 0o644, "report.json": 0o644,
+                         "trace.json": 0o640}
 
     def test_rounds_flag_honored_in_trace(self, library_path, targets_path, tmp_path):
         targets_file, _ = targets_path

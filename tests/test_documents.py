@@ -7,6 +7,7 @@ dump parses back to the mutated document.  Only in a number field may an int
 come back as the equal float.
 """
 
+import dataclasses
 import json
 import sys
 
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import proxybench as pb
-from proxybench.align import config_to_doc
-from proxybench.errors import DocumentFormatError, ProxyBenchError
-from proxybench.events import dump_profile, load_profile
+from proxybench.align import CONFIG, ROUND, TRACE, config_to_doc
+from proxybench.errors import DocumentFormatError, ProxyBenchError, UnknownEventError
+from proxybench.events import PROFILE, dump_profile, load_profile
+from proxybench.report import REPORT
 from tests.conftest import hidden_targets, sample_hidden_program
 from tests.test_cli_fuzz import VALUES, mutated, mutation
 
@@ -250,3 +252,48 @@ def test_constructors_reject_a_count_that_is_not_a_number(case):
         pb.MeasurementResult(counts)
     with pytest.raises(DocumentFormatError, match="target cpi must be a finite number"):
         pb.TargetMetrics({"cpi": value})
+
+
+@pytest.mark.parametrize("shape, record", [
+    (ROUND, pb.RoundRecord),
+    (ROUND["measured"], pb.MeasurementResult),
+    (TRACE, pb.AlignmentTrace),
+    (REPORT, pb.AccuracyReport),
+    (PROFILE, pb.EventProfile),
+    (CONFIG, pb.AlignConfig),
+], ids=["ROUND", "ROUND.measured", "TRACE", "REPORT", "PROFILE", "CONFIG"])
+def test_each_document_shape_holds_its_record_fields(shape, record):
+    # a codec writes a record's fields by name and builds it by keyword, so a
+    # field without its shape entry, or the reverse, writes what no load reads
+    assert set(shape) == {field.name for field in dataclasses.fields(record)}
+
+
+# (path, value, error type, message) of values that fit the trace's shape but
+# that a constructor rejects: the error keeps its type, and its message starts
+# with the value's place in the trace
+TRACE_VALUES = {
+    "config rounds 0": (("config", "rounds"), 0, DocumentFormatError,
+                        "trace: config: rounds must be an int >= 1, got 0"),
+    "target past 1": (("targets", "l1d_miss_rate"), 2.0, DocumentFormatError,
+                      "trace: targets: target l1d_miss_rate must be in (0, 1]"),
+    "misses past accesses": (
+        ("rounds", 1, "measured", "counts", "l1d_misses"), 1e30, DocumentFormatError,
+        "trace: rounds[1]: measurement: l1d_misses=1e+30 exceeds l1d_accesses=",
+    ),
+    "negative executions": (
+        ("rounds", 1, "program", "entries", 0, "executions"), -1, DocumentFormatError,
+        "trace: rounds[1]: block {block}: executions must be >= 0, got -1",
+    ),
+    "unknown event": (("rounds", 0, "measured", "counts", "bogus"), 1.0, UnknownEventError,
+                      "trace: rounds[0]: unknown event name: 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_VALUES))
+def test_a_rejected_trace_value_is_named_by_its_place(documents, case):
+    path, value, error, message = TRACE_VALUES[case]
+    block = documents["trace"]["rounds"][1]["program"]["entries"][0]["block"]
+    with pytest.raises(error) as caught:
+        pb.load_trace(mutated(documents["trace"], path, value))
+    assert type(caught.value) is error
+    assert str(caught.value).startswith(message.format(block=block)), caught.value

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -321,6 +322,24 @@ def test_documents_and_constructors_share_the_number_rule(value):
 def test_shown_names_only_a_value_it_cannot_print(value, text):
     assert shown(value) == text
     assert brief(value) == (text if len(text) <= 40 else text[:37] + "...")
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask 022", "umask 077"])
+def test_an_atomic_write_leaves_the_mode_open_would(tmp_path, umask, mask, mode):
+    umask(mask)
+    plain, new, old = tmp_path / "plain", tmp_path / "new.json", tmp_path / "old.json"
+    with open(plain, "w") as handle:
+        handle.write("x\n")
+    old.write_text("old\n")
+    old.chmod(0o640)
+    write_text_atomic(str(new), "new\n")
+    write_text_atomic(str(old), "new\n")
+    # a new file gets 0o666 less the umask; an existing one keeps its bits
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == mode
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert (new.read_text(), old.read_text()) == ("new\n", "new\n")
+    assert umask(mask) == mask  # the write restored the umask
 
 
 @pytest.mark.parametrize("fail", ["write", "replace"])
